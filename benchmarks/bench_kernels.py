@@ -30,7 +30,7 @@ from repro.ntmath.primes import generate_ntt_prime, generate_ntt_primes
 from repro.poly.ntt import get_context
 from repro.rns.bconv import bconv
 from repro.tfhe.params import TEST_PARAMS
-from repro.tfhe.polymul import get_torus_ntt
+from repro.tfhe.polymul import get_torus_multiplier, get_torus_ntt
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +148,17 @@ def test_bench_torus_ntt_mul_sum(benchmark, rng):
     spec = ntt.spectrum(v)
     out = benchmark(ntt.mul_sum, u, spec)
     assert out.shape == (1024,)
+
+
+def test_bench_torus_fft_mul_sum(benchmark, rng):
+    """The split-FFT multiplier the selector picks at the set-I shape."""
+    fft = get_torus_multiplier(1024, 6, 64)
+    u = rng.integers(-64, 64, (6, 1024), dtype=np.int64)
+    v = rng.integers(-(1 << 31), 1 << 31, (6, 1024), dtype=np.int64)
+    spec = fft.spectrum(v)
+    out = benchmark(fft.mul_sum, u, spec)
+    assert np.array_equal(out, get_torus_ntt(1024).mul_sum(
+        u, get_torus_ntt(1024).spectrum(v)))
 
 
 def test_bench_cycle_sim_bootstrapping(benchmark, simulator):

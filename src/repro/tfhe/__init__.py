@@ -4,7 +4,8 @@ A complete discretized-torus (Torus32) TFHE implementation: LWE and ring-LWE
 (TRLWE) encryption, TRGSW external products and CMux, blind rotation, sample
 extraction, LWE keyswitching, programmable bootstrapping, and the
 homomorphic gate library.  Negacyclic polynomial products use an exact
-CRT-NTT (bit-exact, unlike the floating-point FFT of TFHE-lib).
+split floating-point FFT (bit-exact, unlike the FFT of TFHE-lib), with a
+CRT-NTT fallback and oracle.
 """
 
 from repro.tfhe.params import (

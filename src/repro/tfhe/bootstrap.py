@@ -118,22 +118,22 @@ class KeyswitchKey:
         big_n = sample.dim
         if big_n != self.table.shape[0]:
             raise ValueError("sample dimension does not match keyswitch key")
-        acc_a = np.zeros(n, dtype=np.uint32)
-        acc_b = int(sample.b)
         # round each a_i to t digits of base_bit bits (with rounding offset)
         offset = np.uint32(1 << (31 - t * base_bit)) if t * base_bit < 32 else np.uint32(0)
-        a_round = sample.a + offset
+        a_round = (sample.a + offset).astype(np.uint64)
+        shifts = np.uint64(32) - np.arange(1, t + 1, dtype=np.uint64) * np.uint64(base_bit)
+        digits = ((a_round[:, None] >> shifts) & np.uint64(base - 1)).astype(np.intp)
+        # subtract the selected (i, j, digit) rows one gather per level j,
+        # which keeps the gathered block to ~N rows; a wrapping uint64
+        # column sum is exact mod 2**32
+        total = np.zeros(n + 1, dtype=np.uint64)
         for j in range(t):
-            shift = np.uint64(32 - (j + 1) * base_bit)
-            digits = (
-                (a_round.astype(np.uint64) >> shift) & np.uint64(base - 1)
-            ).astype(np.int64)
-            nz = np.nonzero(digits)[0]
-            for i in nz:
-                row = self.table[i, j, int(digits[i]) - 1]
-                acc_a -= row[:n]
-                acc_b -= int(row[n])
-        return LweSample(acc_a, np.uint32(acc_b % TORUS_MODULUS))
+            i_idx = np.nonzero(digits[:, j])[0]
+            rows = self.table[i_idx, j, digits[i_idx, j] - 1]
+            total += rows.sum(axis=0, dtype=np.uint64)
+        acc_a = (np.uint64(0) - total[:n]).astype(np.uint32)
+        acc_b = (int(sample.b) - int(total[n])) % TORUS_MODULUS
+        return LweSample(acc_a, np.uint32(acc_b))
 
 
 def make_sign_test_polynomial(params: TFHEParams, mu: int) -> np.ndarray:

@@ -9,18 +9,19 @@ import numpy as np
 
 from repro.seedexp import SeedExpander
 from repro.tfhe.params import TFHEParams
-from repro.tfhe.polymul import get_torus_ntt
+from repro.tfhe.polymul import TorusMultiplier, get_torus_multiplier
 from repro.tfhe.trlwe import TrlweKey, TrlweSample, trlwe_encrypt
 
 
 def gadget_decompose(
     poly: np.ndarray, bg_bit: int, length: int
 ) -> np.ndarray:
-    """Signed gadget decomposition of a Torus32 polynomial.
+    """Signed gadget decomposition of Torus32 polynomials.
 
-    Returns ``(length, N)`` int64 digits ``d_i`` in ``[-Bg/2, Bg/2)`` with
-    ``sum_i d_i * 2**(32 - (i+1)*bg_bit) ≈ poly`` (error below
-    ``2**(32 - length*bg_bit - 1)``), following TFHE-lib's offset trick.
+    Returns ``(..., length, N)`` int64 digits ``d_i`` in ``[-Bg/2, Bg/2)``
+    for ``(..., N)`` input, with ``sum_i d_i * 2**(32 - (i+1)*bg_bit) ≈
+    poly`` (error below ``2**(32 - length*bg_bit - 1)``), following
+    TFHE-lib's offset trick.
     """
     poly = np.asarray(poly, dtype=np.uint32)
     bg = 1 << bg_bit
@@ -31,13 +32,17 @@ def gadget_decompose(
     t = (poly.astype(np.uint64) + np.uint64(offset % (1 << 32))) & np.uint64(
         0xFFFFFFFF
     )
-    digits = np.empty((length, poly.shape[0]), dtype=np.int64)
-    for i in range(1, length + 1):
-        shift = np.uint64(32 - i * bg_bit)
-        digits[i - 1] = (
-            (t >> shift) & np.uint64(bg - 1)
-        ).astype(np.int64) - half
-    return digits
+    shifts = np.array([32 - i * bg_bit for i in range(1, length + 1)],
+                      dtype=np.uint64)
+    digits = (t[..., None, :] >> shifts[:, None]) & np.uint64(bg - 1)
+    return digits.astype(np.int64) - half
+
+
+def external_multiplier(params: TFHEParams) -> TorusMultiplier:
+    """The exact multiplier for an external product: ``2l`` rows of gadget
+    digits in ``[-Bg/2, Bg/2)``."""
+    return get_torus_multiplier(
+        params.ring_degree, 2 * params.decomp_length, params.bg // 2)
 
 
 @dataclass
@@ -57,23 +62,24 @@ class TrgswSample:
 
     ``rows`` holds ``2*l`` TRLWE samples: rows ``0..l-1`` carry ``m * g_i``
     on the mask, rows ``l..2l-1`` carry it on the body.  ``spectra_a`` /
-    ``spectra_b`` cache the NTT spectra of all row polynomials for the
-    external-product inner loop.
+    ``spectra_b`` cache the spectra of all row polynomials, in the form of
+    the :func:`external_multiplier` path only, for the external-product
+    inner loop.
     """
 
     params: TFHEParams
     rows: List[TrlweSample]
-    spectra_a: np.ndarray = None  # (2, 2l, N)
-    spectra_b: np.ndarray = None  # (2, 2l, N)
+    spectra_a: np.ndarray = None  # (channels, 2l, N)
+    spectra_b: np.ndarray = None  # (channels, 2l, N)
 
     def precompute_spectra(self) -> None:
         from repro.tfhe.torus import to_centered_int64
 
-        ntt = get_torus_ntt(self.params.ring_degree)
+        mult = external_multiplier(self.params)
         a_stack = np.stack([to_centered_int64(r.a) for r in self.rows])
         b_stack = np.stack([to_centered_int64(r.b) for r in self.rows])
-        self.spectra_a = ntt.spectrum(a_stack)
-        self.spectra_b = ntt.spectrum(b_stack)
+        self.spectra_a = mult.spectrum(a_stack)
+        self.spectra_b = mult.spectrum(b_stack)
 
     # ------------------------------------------------------------------ #
 
@@ -82,15 +88,12 @@ class TrgswSample:
         params = self.params
         if self.spectra_a is None:
             self.precompute_spectra()
-        digits_a = gadget_decompose(
-            sample.a, params.bg_bit, params.decomp_length
-        )
-        digits_b = gadget_decompose(
-            sample.b, params.bg_bit, params.decomp_length
-        )
-        u = np.concatenate([digits_a, digits_b], axis=0)  # (2l, N)
-        ntt = get_torus_ntt(params.ring_degree)
-        out_a, out_b = ntt.mul_sum_multi(u, [self.spectra_a, self.spectra_b])
+        u = gadget_decompose(
+            np.stack([sample.a, sample.b]), params.bg_bit,
+            params.decomp_length,
+        ).reshape(-1, params.ring_degree)  # (2l, N): mask digits, body digits
+        out_a, out_b = external_multiplier(params).mul_sum_multi(
+            u, [self.spectra_a, self.spectra_b])
         return TrlweSample(out_a, out_b)
 
     def cmux(self, d0: TrlweSample, d1: TrlweSample) -> TrlweSample:

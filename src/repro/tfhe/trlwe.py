@@ -10,7 +10,7 @@ import numpy as np
 from repro.seedexp import SeedExpander
 from repro.tfhe.lwe import LweKey, LweSample
 from repro.tfhe.params import TFHEParams
-from repro.tfhe.polymul import get_torus_ntt
+from repro.tfhe.polymul import TorusMultiplier, get_torus_multiplier
 from repro.tfhe.torus import from_int64, gaussian_noise
 
 
@@ -32,6 +32,11 @@ def negacyclic_monomial_mul(poly: np.ndarray, degree: int) -> np.ndarray:
     if sign_flip:
         out = (-out.astype(np.int64) % (1 << 32)).astype(np.uint32)
     return out
+
+
+def key_multiplier(n: int) -> TorusMultiplier:
+    """The exact multiplier for ``a * s``: one row of binary key digits."""
+    return get_torus_multiplier(n, 1, 1)
 
 
 @dataclass
@@ -124,15 +129,12 @@ def trlwe_encrypt(
     else:
         a = rng.integers(0, 1 << 32, size=n, dtype=np.int64).astype(np.uint32)
     e = gaussian_noise(rng, noise_std, size=n)
-    ntt = get_torus_ntt(n)
-    a_s = ntt.multiply(key.key, a)
+    a_s = key_multiplier(n).multiply(key.key, a)
     b = a_s + message + e
     return TrlweSample(a, b)
 
 
 def trlwe_decrypt_phase(sample: TrlweSample, key: TrlweKey) -> np.ndarray:
     """The noisy phase polynomial ``b - a*s`` (Torus32)."""
-    n = key.params.ring_degree
-    ntt = get_torus_ntt(n)
-    a_s = ntt.multiply(key.key, sample.a)
+    a_s = key_multiplier(key.params.ring_degree).multiply(key.key, sample.a)
     return sample.b - a_s

@@ -90,27 +90,32 @@ def test_switching_key_bytes_match_compiler_model(ckks_stack):
 
 
 def test_functional_pbs_transform_count_matches_compiler(monkeypatch):
-    """A real blind rotation performs the NTT channel-transforms the PBS
-    program models: ``rows`` forward + ``k+1`` inverse per iteration."""
+    """A real blind rotation performs the channel-transforms the PBS
+    program models: ``rows`` forward + ``k+1`` inverse per iteration.
+
+    The counter wraps the selected external-product multiplier, so it
+    counts logical channel transforms (digit rows in, output polynomials
+    out) whichever exact path — split FFT or CRT-NTT — is selected."""
     from repro.tfhe.bootstrap import BootstrapKit
     from repro.tfhe.params import TEST_PARAMS
-    from repro.tfhe.polymul import TorusNTT
     from repro.tfhe.torus import TORUS_MODULUS
+    from repro.tfhe.trgsw import external_multiplier
 
     rng = np.random.default_rng(0x99)
     kit = BootstrapKit(TEST_PARAMS, rng)
 
     counts = {"forward": 0, "inverse": 0}
-    real_fwd = TorusNTT.mul_sum_multi
+    multiplier = external_multiplier(TEST_PARAMS)
+    real_mul_sum_multi = multiplier.mul_sum_multi
 
-    def counting_mul_sum_multi(self, u, specs):
+    def counting_mul_sum_multi(u, specs):
         u_arr = np.asarray(u)
         rows = 1 if u_arr.ndim == 1 else u_arr.shape[0]
         counts["forward"] += rows
         counts["inverse"] += len(specs)
-        return real_fwd(self, u, specs)
+        return real_mul_sum_multi(u, specs)
 
-    monkeypatch.setattr(TorusNTT, "mul_sum_multi", counting_mul_sum_multi)
+    monkeypatch.setattr(multiplier, "mul_sum_multi", counting_mul_sum_multi)
 
     sample = kit.encrypt(TORUS_MODULUS // 8)
     from repro.tfhe.bootstrap import make_sign_test_polynomial
