@@ -10,6 +10,7 @@ Usage: python examples/design_space.py
 
 from repro.analysis.report import format_table
 from repro.compiler import cmult_program, bootstrapping_program
+from repro.compiler.residency import residency
 from repro.compiler.tfhe_programs import PBS_SET_I, pbs_batch_program
 from repro.hw.area import AreaModel
 from repro.hw.config import ALCHEMIST_DEFAULT
@@ -54,19 +55,18 @@ def sweep_hbm() -> None:
 
 
 def sweep_onchip() -> None:
-    print("=== sweep: on-chip SRAM (scheduler residency) ===")
-    from repro.sim.scheduler import TimeSharingScheduler
-
+    print("=== sweep: on-chip SRAM (time-sharing residency) ===")
+    program = bootstrapping_program()
     rows = []
     for kb in (128, 256, 512, 1024):
         cfg = ALCHEMIST_DEFAULT.with_overrides(local_sram_kb=kb)
-        scheduler = TimeSharingScheduler(cfg)
-        decision = scheduler.schedule(bootstrapping_program())
+        working_set = residency(program, cfg.word_bytes).max_footprint_bytes
+        capacity = cfg.total_onchip_bytes
         area = AreaModel(cfg).total_area()
         rows.append([
-            f"{cfg.total_onchip_bytes // (1 << 20)} MB",
-            "yes" if decision.resident else "NO (spills)",
-            f"{decision.occupancy:.2f}",
+            f"{capacity // (1 << 20)} MB",
+            "yes" if working_set <= capacity else "NO (spills)",
+            f"{working_set / capacity:.2f}",
             f"{area:.1f}",
         ])
     print(format_table(

@@ -19,10 +19,10 @@ from typing import Dict, List
 
 from repro.analysis.opcount import workload_mult_counts
 from repro.compiler.ops import Program
+from repro.compiler.residency import residency
 from repro.hw.area import AreaModel
-from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
+from repro.hw.config import ALCHEMIST_DEFAULT
 from repro.sim.simulator import CycleSimulator
-from repro.sim.scheduler import TimeSharingScheduler
 
 
 # ------------------------------ j parameter ---------------------------- #
@@ -141,14 +141,17 @@ def hbm_bandwidth_sweep(program: Program, gbps_values=(500, 1000, 2000, 4000)
 
 def sram_residency_sweep(program: Program, local_kb_values=(128, 256, 512, 1024)
                          ) -> List[Dict]:
+    """Section 5.4 residency per on-chip size: the largest single-op
+    footprint must fit (evaluation keys stream, so they never count)."""
     rows = []
     for kb in local_kb_values:
         config = ALCHEMIST_DEFAULT.with_overrides(local_sram_kb=kb)
-        decision = TimeSharingScheduler(config).schedule(program)
+        working_set = residency(program, config.word_bytes).max_footprint_bytes
+        capacity = config.total_onchip_bytes
         rows.append({
-            "onchip_mb": config.total_onchip_bytes / (1 << 20),
-            "resident": decision.resident,
-            "occupancy": decision.occupancy,
+            "onchip_mb": capacity / (1 << 20),
+            "resident": working_set <= capacity,
+            "occupancy": working_set / capacity,
             "area_mm2": AreaModel(config).total_area(),
         })
     return rows

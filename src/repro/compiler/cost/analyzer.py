@@ -6,7 +6,8 @@ per-program Meta-OP counts, compute/SRAM/HBM cycles and bytes, a
 deterministic bottleneck classification, the static critical path (the
 longest dependency chain weighted by serialized op latency — a lower
 bound on any dependency-honoring schedule), and the peak scratchpad
-occupancy of the live value set (what the on-chip SRAM must hold).
+occupancy of the live value set (what the on-chip SRAM must hold, read
+from the one residency walk of :mod:`repro.compiler.residency`).
 
 Because every per-op number comes from :func:`repro.compiler.cost.model.
 cost_op` — the same function :class:`~repro.sim.simulator.CycleSimulator`
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.cost.model import OpCost, ResourceBound, cost_op
 from repro.compiler.ops import HighLevelOp, OpKind, Program
-from repro.compiler.verify.liveness import value_bytes
+from repro.compiler.residency import Residency, residency
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 
 
@@ -68,10 +69,17 @@ class CostReport:
     rows: List[OpCostRow] = field(default_factory=list)
     critical_path_cycles: float = 0.0
     critical_path: Tuple[int, ...] = ()
-    peak_occupancy_bytes: int = 0
-    peak_occupancy_index: Optional[int] = None
+    residency: Optional[Residency] = None     # None on a cyclic graph
 
     # ------------------------------ totals ----------------------------- #
+
+    @property
+    def peak_occupancy_bytes(self) -> int:
+        return self.residency.peak_bytes if self.residency else 0
+
+    @property
+    def peak_occupancy_index(self) -> Optional[int]:
+        return self.residency.peak_index if self.residency else None
 
     @property
     def totals(self) -> ResourceBound:
@@ -227,44 +235,14 @@ class CostReport:
 # --------------------------------------------------------------------- #
 
 
-def _topo_indices(program: Program) -> List[int]:
-    """Deterministic topological op-index order (mirrors ``linearize``).
-
-    Raises ``ValueError`` on a dependency cycle, like ``linearize``.
-    """
-    import heapq
-
-    edges = program.dependency_edges()
-    n = len(program.ops)
-    succs: Dict[int, List[int]] = {}
-    indeg = [0] * n
-    for i, preds in edges.items():
-        indeg[i] = len(preds)
-        for p in preds:
-            succs.setdefault(p, []).append(i)
-    ready = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(ready)
-    order: List[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for s in succs.get(i, ()):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(ready, s)
-    if len(order) != n:
-        raise ValueError(f"dependency cycle in program {program.name!r}")
-    return order
-
-
-def _critical_path(program: Program,
+def _critical_path(program: Program, order: Tuple[int, ...],
                    serialized: List[float]) -> Tuple[float, Tuple[int, ...]]:
     """Longest dependency chain weighted by per-op serialized cycles.
 
-    Returns ``(length_cycles, member_indices)``; the path is deterministic
-    (ties resolve toward the earliest op index).
+    ``order`` is the program's topological order.  Returns
+    ``(length_cycles, member_indices)``; the path is deterministic (ties
+    resolve toward the earliest op index).
     """
-    order = _topo_indices(program)
     edges = program.dependency_edges()
     dist: Dict[int, float] = {}
     best_pred: Dict[int, Optional[int]] = {}
@@ -287,42 +265,6 @@ def _critical_path(program: Program,
     return dist[terminal], tuple(sorted(path))
 
 
-def _peak_occupancy(program: Program,
-                    word_bytes: float) -> Tuple[int, Optional[int]]:
-    """Peak live-value scratchpad occupancy over the linearized order.
-
-    The same live-set walk the liveness analysis uses for its ``ALC402``
-    capacity note, but returning the raw high-water mark (bytes) and the
-    op index where it occurs instead of a pass/fail against capacity.
-    """
-    try:
-        order = _topo_indices(program)
-    except ValueError:
-        return 0, None
-    producer: Dict[str, int] = {}
-    last_use: Dict[int, int] = {}
-    for pos, i in enumerate(order):
-        op = program.ops[i]
-        for v in op.uses:
-            if v in producer:
-                last_use[producer[v]] = pos
-        for v in op.defs:
-            producer[v] = i
-            last_use.setdefault(i, pos)
-    expiry: Dict[int, List[int]] = {}
-    for src, pos in last_use.items():
-        expiry.setdefault(pos, []).append(src)
-    live = 0
-    peak, peak_index = 0, None
-    for pos, i in enumerate(order):
-        live += value_bytes(program.ops[i], word_bytes)
-        if live > peak:
-            peak, peak_index = live, i
-        for src in expiry.get(pos, ()):
-            live -= value_bytes(program.ops[src], word_bytes)
-    return peak, peak_index
-
-
 # --------------------------------------------------------------------- #
 #                             entry points                              #
 # --------------------------------------------------------------------- #
@@ -333,21 +275,22 @@ def analyze_program(program: Program,
     """Static cost analysis of ``program`` on ``config`` (no simulation)."""
     costs = [cost_op(op, config) for op in program.ops]
     serialized = [c.serialized_cycles for c in costs]
+    res: Optional[Residency]
     try:
-        cp_cycles, cp_members = _critical_path(program, serialized)
+        res = residency(program, config.word_bytes)
+        cp_cycles, cp_members = _critical_path(program, res.order, serialized)
     except ValueError:
         # cyclic graph: the structure analysis reports it; degrade to the
         # serialized chain so cost totals stay available
+        res = None
         cp_cycles, cp_members = sum(serialized), tuple(range(len(costs)))
     member_set = set(cp_members)
-    peak, peak_index = _peak_occupancy(program, config.word_bytes)
     report = CostReport(
         program=program.name,
         config=config,
         critical_path_cycles=cp_cycles,
         critical_path=cp_members,
-        peak_occupancy_bytes=peak,
-        peak_occupancy_index=peak_index,
+        residency=res,
     )
     for i, (op, cost) in enumerate(zip(program.ops, costs)):
         report.rows.append(OpCostRow(

@@ -105,6 +105,46 @@ class ResourceBound:
             self.compute_cycles, self.sram_cycles, self.hbm_cycles)
 
 
+#: The three pipelined hardware resources of the timing model.
+RESOURCES: Tuple[str, ...] = ("compute", "sram", "hbm")
+
+
+def resource_demand(timing: object) -> Dict[str, float]:
+    """Cycles per resource ``timing`` occupies (resources it needs only).
+
+    ``timing`` is anything carrying ``compute_cycles``/``sram_cycles``/
+    ``hbm_cycles`` (an ``OpTiming``, ``OpCost`` or ``ResourceBound``).
+    """
+    needs = {r: getattr(timing, r + "_cycles") for r in RESOURCES}
+    return {r: c for r, c in needs.items() if c > 0}
+
+
+class ResourceFrontier:
+    """In-order occupancy of the pipelined resources.
+
+    Compute, on-chip bandwidth and HBM are independent resources; each op
+    occupies the ones it needs in program order (no reordering), starting
+    when every one of them is free.  A zero-cost op is a zero-duration
+    marker at the frontier, ``max(free)``.
+    """
+
+    def __init__(self) -> None:
+        self.free: Dict[str, float] = dict.fromkeys(RESOURCES, 0.0)
+
+    def start(self, timing: object) -> float:
+        """The cycle ``timing`` would start at; nothing is placed."""
+        return max((self.free[r] for r in resource_demand(timing)),
+                   default=max(self.free.values()))
+
+    def place(self, timing: object) -> Tuple[float, float]:
+        """Occupy the resources ``timing`` needs; returns ``(start, end)``."""
+        start = self.start(timing)
+        used = resource_demand(timing)
+        for r, c in used.items():
+            self.free[r] = start + c
+        return start, start + max(used.values(), default=0.0)
+
+
 @dataclass(frozen=True)
 class OpCost:
     """Statically derived cost of one :class:`HighLevelOp` on a config.

@@ -7,7 +7,7 @@ into cycles.
 
 Operators carry explicit ``defs``/``uses`` value ids (SSA-style producer
 edges).  :meth:`Program.dependency_edges` resolves them into a DAG and
-:meth:`Program.linearize` yields a deterministic topological view — the
+:meth:`Program.topo_order` yields a deterministic topological order — the
 substrate for the pass pipeline (:mod:`repro.compiler.passes`) and the
 event-driven scheduler (:mod:`repro.sim.engine`).  Ops without def/use
 annotations remain valid (they simply have no graph edges), so legacy
@@ -175,7 +175,7 @@ class HighLevelOp:
         """Peak resident bytes under per-polynomial time-sharing.
 
         Unlike :meth:`sram_bytes` (total traffic), this is the simultaneous
-        on-chip *footprint* the scheduler must find room for, assuming the
+        on-chip *footprint* time-sharing must find room for, assuming the
         time-sharing granularity of Section 5.4: one polynomial (or one
         decomposition digit) in flight at a time, with streamed operands
         (evaluation keys) excluded.
@@ -229,7 +229,7 @@ class Program:
 
     ``ops`` holds the insertion order, which for every builder in this
     package is already a valid schedule (producers precede consumers).
-    The graph view lives in :meth:`dependency_edges`/:meth:`linearize`;
+    The graph view lives in :meth:`dependency_edges`/:meth:`topo_order`;
     ``metadata`` is scratch space for compiler passes (traffic annotations,
     pass provenance).  ``inputs`` optionally declares the external value
     ids the program legitimately consumes; when set, the linter treats any
@@ -271,7 +271,7 @@ class Program:
         * a use of ``v`` binds to the closest *earlier* def of ``v``; if
           none exists but ``v`` is defined later, it binds to the first
           later def (so a scrambled DAG still resolves — a cycle is then
-          possible and :meth:`linearize` reports it);
+          possible and :meth:`topo_order` reports it);
         * a redefinition of ``v`` depends on the previous def of ``v``
           (write-after-write keeps reused accumulator ids ordered);
         * a use with no def anywhere is an external program input.
@@ -313,12 +313,12 @@ class Program:
                     seen.append(v)
         return tuple(seen)
 
-    def linearize(self) -> List[HighLevelOp]:
-        """Deterministic topological order of the dataflow graph.
+    def topo_order(self) -> List[int]:
+        """Deterministic topological order of the dataflow graph (op indices).
 
         Kahn's algorithm with a min-heap on the op index, so whenever the
         insertion order is already topological (true for all builders in
-        this package) the result *is* the insertion order.  Raises
+        this package) the result *is* ``range(len(ops))``.  Raises
         ``ValueError`` when the def/use graph has a cycle.
         """
         edges = self.dependency_edges()
@@ -346,4 +346,8 @@ class Program:
                 f"dependency cycle in program {self.name!r} involving "
                 f"{stuck[:5]}"
             )
-        return [self.ops[i] for i in order]
+        return order
+
+    def linearize(self) -> List[HighLevelOp]:
+        """The ops in :meth:`topo_order`."""
+        return [self.ops[i] for i in self.topo_order()]

@@ -1,12 +1,10 @@
 """Spill-insertion pass: on-chip working-set overflow → HBM traffic.
 
-Replaces the old ``TimeSharingScheduler.schedule_with_spills`` behaviour of
-appending one spill/fill pair at program end — which parked the HBM cost
-*after* all compute in the resource-pipelined timeline — with targeted
-insertion: each op whose peak footprint exceeds the 64+2 MB capacity gets
-an ``HBM_STORE`` (evict) immediately before it and an ``HBM_LOAD``
-(restore) immediately after it, wired into the dataflow graph so the
-event-driven engine also sees the overflow where it occurs.
+Each op whose footprint (from :func:`repro.compiler.residency.residency`)
+exceeds the 64+2 MB capacity gets an ``HBM_STORE`` (evict) immediately
+before it and an ``HBM_LOAD`` (restore) immediately after it, wired into
+the dataflow graph so the event-driven engine also sees the overflow
+where it occurs.
 """
 
 from __future__ import annotations
@@ -16,6 +14,7 @@ from typing import List, Optional
 
 from repro.compiler.ops import HighLevelOp, OpKind, Program
 from repro.compiler.passes.base import Pass, PassContext
+from repro.compiler.residency import residency
 
 
 class SpillInsertionPass(Pass):
@@ -35,15 +34,12 @@ class SpillInsertionPass(Pass):
     def run(self, program: Program, ctx: PassContext) -> Program:
         capacity = (self.capacity_bytes if self.capacity_bytes is not None
                     else ctx.config.total_onchip_bytes)
-        wb = ctx.config.word_bytes
+        footprints = residency(program, ctx.config.word_bytes).footprints
         out: List[HighLevelOp] = []
         spills = 0
         for i, op in enumerate(program.ops):
-            if op.kind in (OpKind.HBM_LOAD, OpKind.HBM_STORE):
-                out.append(op)          # streamed, never resident
-                continue
-            overflow = op.footprint_bytes(wb) - capacity
-            if overflow <= 0:
+            overflow = footprints[i] - capacity
+            if overflow <= 0:           # fits (HBM ops stream: footprint 0)
                 out.append(op)
                 continue
             tag = op.label or f"op{i}"

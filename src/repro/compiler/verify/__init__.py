@@ -66,7 +66,8 @@ from repro.compiler.verify.keys import (
     required_keys,
 )
 from repro.compiler.verify.levels import AbstractCt, LevelScaleAnalysis
-from repro.compiler.verify.liveness import LivenessAnalysis, value_bytes
+from repro.compiler.residency import value_bytes
+from repro.compiler.verify.liveness import LivenessAnalysis
 from repro.compiler.verify.noise import (
     NoiseBudgetAnalysis,
     NoiseDomain,

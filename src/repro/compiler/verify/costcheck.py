@@ -8,9 +8,10 @@ into advisory diagnostics:
   bandwidth directly lengthens the shortest possible schedule (the
   paper's ~135 us keyswitch bound is exactly this finding).
 * ``ALC602`` — the peak live-value scratchpad occupancy exceeds the
-  configured on-chip capacity: ``SpillInsertionPass`` will convert the
-  overflow into spill/fill HBM traffic, and the note quantifies the
-  predicted extra HBM cycles.
+  configured on-chip capacity.  Where some op's own footprint overflows,
+  ``SpillInsertionPass`` spills around it and the note quantifies the
+  extra HBM cycles; otherwise every op fits and the excess is values held
+  live across ops, which no pass spills.
 * ``ALC603`` — a compute op occupies less than ``utilization_threshold``
   of the cores during its compute window (lane under-utilization; batch
   or pack more to fill the machine).
@@ -31,16 +32,14 @@ so shipped workloads stay lint-clean while ``repro analyze``/``repro lint
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from dataclasses import replace
+from typing import Dict, List
 
+from repro.compiler.cost.analyzer import CostReport, analyze_program
+from repro.compiler.cost.model import cost_op
 from repro.compiler.ops import Program
 from repro.compiler.verify.base import Analysis, AnalysisContext
 from repro.compiler.verify.diagnostics import Diagnostic
-
-if TYPE_CHECKING:  # real imports are deferred: cost.analyzer imports the
-    # verify package (for value_bytes), so a load-time import here would
-    # close an import cycle whenever the cost package loads first
-    from repro.compiler.cost.analyzer import CostReport
 
 
 class CostAnalysis(Analysis):
@@ -55,8 +54,6 @@ class CostAnalysis(Analysis):
 
     def run(self, program: Program,
             ctx: AnalysisContext) -> List[Diagnostic]:
-        from repro.compiler.cost.analyzer import analyze_program
-
         try:
             report = analyze_program(program, ctx.config)
         except Exception:
@@ -94,23 +91,27 @@ class CostAnalysis(Analysis):
     @staticmethod
     def _occupancy_overflow(report: CostReport,
                             ctx: AnalysisContext) -> List[Diagnostic]:
+        res = report.residency
         capacity = ctx.config.total_onchip_bytes
-        overflow = report.peak_occupancy_bytes - capacity
-        if overflow <= 0:
+        if res is None or res.peak_bytes <= capacity:
             return []
-        # each overflowing byte is evicted and restored once: 2x HBM traffic
-        spill_cycles = 2 * overflow / ctx.config.hbm_bytes_per_cycle
-        index = report.peak_occupancy_index
-        label = ""
-        if index is not None:
-            label = report.rows[index].op.label
-        return [Diagnostic(
-            "ALC602",
-            f"peak scratchpad demand {report.peak_occupancy_bytes / 1e6:.1f} "
-            f"MB exceeds on-chip capacity {capacity / 1e6:.1f} MB — "
-            f"SpillInsertionPass will add ~{spill_cycles:,.0f} HBM cycles "
-            f"of spill/fill traffic",
-            op_index=index, op_label=label)]
+        index = res.peak_index
+        label = report.rows[index].op.label if index is not None else ""
+        demand = (f"peak scratchpad demand {res.peak_bytes / 1e6:.1f} MB "
+                  f"exceeds on-chip capacity {capacity / 1e6:.1f} MB")
+        oversized = res.oversized(capacity)
+        if oversized:
+            # each overflowing byte is evicted and restored once
+            spilled = sum(res.footprints[i] - capacity for i in oversized)
+            spill_cycles = 2 * spilled / ctx.config.hbm_bytes_per_cycle
+            detail = (f"SpillInsertionPass will spill around "
+                      f"{len(oversized)} oversized op(s), adding "
+                      f"~{spill_cycles:,.0f} HBM cycles of spill/fill traffic")
+        else:
+            detail = ("every op's own footprint fits, so no spill is "
+                      "inserted; the excess is values held live across ops")
+        return [Diagnostic("ALC602", f"{demand} — {detail}",
+                           op_index=index, op_label=label)]
 
     def _lane_underutilization(self, report: CostReport,
                                ctx: AnalysisContext) -> List[Diagnostic]:
@@ -134,22 +135,20 @@ class CostAnalysis(Analysis):
     @staticmethod
     def _fusion_opportunities(program: Program,
                               ctx: AnalysisContext) -> List[Diagnostic]:
-        # lazy imports: passes.fusion imports verify modules at load time,
-        # and cost.analyzer imports this package (see module docstring)
-        from repro.compiler.cost.model import cost_op
+        # lazy import: passes.fusion imports verify modules at load time
         from repro.compiler.passes.fusion import _fusable, _fuse
 
         try:
-            ops = program.linearize()
+            order = program.topo_order()
         except ValueError:
             return []
         fanout: Dict[str, int] = {}
-        for op in ops:
+        for op in program.ops:
             for v in op.uses:
                 fanout[v] = fanout.get(v, 0) + 1
-        index_of = {id(op): i for i, op in enumerate(program.ops)}
         out: List[Diagnostic] = []
-        for a, b in zip(ops, ops[1:]):
+        for ia, i in zip(order, order[1:]):
+            a, b = program.ops[ia], program.ops[i]
             if not _fusable(a, b, fanout):
                 continue
             cost_a = cost_op(a, ctx.config)
@@ -159,7 +158,6 @@ class CostAnalysis(Analysis):
                      - fused.serialized_cycles)
             if saved <= 0:
                 continue
-            i = index_of[id(b)]
             a_tag = a.label or a.kind.value
             b_tag = b.label or b.kind.value
             out.append(Diagnostic(
@@ -176,10 +174,6 @@ class CostAnalysis(Analysis):
                            ctx: AnalysisContext) -> List[Diagnostic]:
         """ALC605: ops whose binding resource leaves HBM under the
         configured compression model (vs the same config without it)."""
-        from dataclasses import replace
-
-        from repro.compiler.cost.analyzer import analyze_program
-
         comp = ctx.config.compression
         if comp is None or not comp.enabled:
             return []

@@ -60,7 +60,7 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "ALC301": (Severity.ERROR, "use of a value that is neither defined nor a declared input"),
     "ALC302": (Severity.ERROR, "use before definition (forward reference)"),
     "ALC401": (Severity.NOTE, "dead definition: value is never used"),
-    "ALC402": (Severity.NOTE, "peak live set exceeds on-chip capacity"),
+    "ALC402": (Severity.NOTE, "live set exceeds on-chip capacity (first crossing; states the true peak)"),
     "ALC403": (Severity.NOTE, "op footprint exceeds on-chip capacity: spill will fire here"),
     # --- schedule hazards ---------------------------------------------- #
     "ALC500": (Severity.ERROR, "RAW hazard: op scheduled before its producer finished"),
@@ -70,7 +70,7 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "ALC504": (Severity.ERROR, "schedule omits or duplicates program ops"),
     # --- static cost / roofline ---------------------------------------- #
     "ALC601": (Severity.NOTE, "HBM-bound op on the static critical path"),
-    "ALC602": (Severity.NOTE, "peak scratchpad demand exceeds SRAM capacity: spill traffic predicted"),
+    "ALC602": (Severity.NOTE, "peak scratchpad demand exceeds SRAM capacity (spill traffic only where an op overflows)"),
     "ALC603": (Severity.NOTE, "compute lanes under-utilized below threshold"),
     "ALC604": (Severity.NOTE, "profitable elementwise fusion opportunity (cost model)"),
     "ALC605": (Severity.NOTE, "compression flips an op from hbm-bound to another resource"),

@@ -64,7 +64,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.compiler.cost.analyzer import analyze_program
+from repro.compiler.cost.model import cost_op
 from repro.compiler.ops import OpKind, Program
+from repro.compiler.residency import live_set
 from repro.compiler.verify.base import Analysis, AnalysisContext
 from repro.compiler.verify.diagnostics import Diagnostic
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
@@ -186,9 +189,9 @@ def required_keys(program: Program) -> Tuple[str, ...]:
     return tuple(sorted({op.key for op in program.ops if op.key}))
 
 
-def _key_events(program: Program,
+def _key_events(program: Program, order: List[int],
                 config: AlchemistConfig) -> List[KeyEvent]:
-    """Key touches in linearized order, with charged fetch bytes.
+    """Key touches in topological ``order``, with charged fetch bytes.
 
     Fetch bytes come from :func:`cost_op` — the one formula source both
     the static analyzer and the cycle simulator charge HBM traffic from
@@ -197,19 +200,16 @@ def _key_events(program: Program,
     model the key as already resident) charge nothing, exactly like the
     simulator.
     """
-    from repro.compiler.cost.model import cost_op
-
-    order = program.linearize()
-    index_of = {id(op): i for i, op in enumerate(program.ops)}
     events: List[KeyEvent] = []
-    for position, op in enumerate(order):
+    for position, i in enumerate(order):
+        op = program.ops[i]
         if not op.key:
             continue
         fetch = 0
         if op.kind in (OpKind.HBM_LOAD, OpKind.HBM_STORE):
             fetch = cost_op(op, config).hbm_bytes
         events.append(KeyEvent(
-            position=position, op_index=index_of[id(op)],
+            position=position, op_index=i,
             label=op.label, key=op.key, fetch_bytes=fetch))
     return events
 
@@ -229,32 +229,6 @@ def _key_sizes(events: List[KeyEvent],
 # --------------------------------------------------------------------- #
 #                         residency scheduling                          #
 # --------------------------------------------------------------------- #
-
-
-def _live_working_set(events: List[KeyEvent],
-                      sizes: Dict[str, int]
-                      ) -> Tuple[int, Optional[int]]:
-    """Peak bytes of keys simultaneously live (first use .. last use)."""
-    first: Dict[str, int] = {}
-    last: Dict[str, int] = {}
-    for ev in events:
-        first.setdefault(ev.key, ev.position)
-        last[ev.key] = ev.position
-    retire: Dict[int, List[str]] = {}
-    for key, position in last.items():
-        retire.setdefault(position, []).append(key)
-    resident = 0
-    peak, peak_op = 0, None
-    for ev in events:
-        if first.get(ev.key) == ev.position and ev.key in sizes:
-            resident += sizes[ev.key]
-            # a key entering the working set can only raise the peak here
-            if resident > peak:
-                peak, peak_op = resident, ev.op_index
-        if ev.position in retire:
-            for key in retire.pop(ev.position):
-                resident -= sizes.get(key, 0)
-    return peak, peak_op
 
 
 def _greedy_schedule(events: List[KeyEvent],
@@ -329,15 +303,23 @@ def analyze_keys(program: Program,
     scheme = meta.get("scheme")
     scheme_name = scheme if isinstance(scheme, str) else ""
     try:
-        events = _key_events(program, config)
+        order = program.topo_order()
     except ValueError:
         return None                   # cycle: structure analysis reports it
+    events = _key_events(program, order, config)
     declared = _provisioned_sizes(meta)
     sizes = _key_sizes(events, declared)
     required = tuple(sorted({ev.key for ev in events}))
     unprovisioned = tuple(k for k in required if k not in declared)
     budget = _meta_size(meta, "scratchpad_bytes")
-    peak, peak_op = _live_working_set(events, sizes)
+    # each key is resident from its first use through its last use
+    first: Dict[str, int] = {}
+    last: Dict[str, int] = {}
+    for ev in events:
+        first.setdefault(ev.key, ev.position)
+        last[ev.key] = ev.position
+    _, peak, peak_op = live_set(
+        order, ((first[k], last[k], sizes.get(k, 0)) for k in first))
     thrash, hints = _greedy_schedule(events, sizes, budget)
     return KeyResidencyReport(
         program=program.name,
@@ -412,8 +394,6 @@ class KeyResidencyAnalysis(Analysis):
         if not ct_bytes or ct_bytes <= 0:
             return []
         try:
-            from repro.compiler.cost.analyzer import analyze_program
-
             cost = analyze_program(program, config)
         except Exception:
             return []                 # ill-formed program: reported elsewhere

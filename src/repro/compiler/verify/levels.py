@@ -61,15 +61,14 @@ class LevelScaleAnalysis(Analysis):
     def run(self, program: Program,
             ctx: AnalysisContext) -> List[Diagnostic]:
         try:
-            order = program.linearize()
+            order = program.topo_order()
         except ValueError:
             return []                # cycle: structure analysis reports it
-        index_of = {id(op): i for i, op in enumerate(program.ops)}
         defined = {v for op in program.ops for v in op.defs}
         state: Dict[str, AbstractCt] = {}
         out: List[Diagnostic] = []
-        for op in order:
-            i = index_of[id(op)]
+        for i in order:
+            op = program.ops[i]
             if op.kind in (OpKind.HBM_LOAD, OpKind.HBM_STORE):
                 continue             # streamed operands carry no ct state
             declared = op.channels if op.kind in _POLY_SHAPED else 0

@@ -14,11 +14,15 @@ Advisory notes:
 * ``ALC401`` — a dead definition: the value is never used and its op has
   live successors (terminal ops' defs are the program outputs and are
   exempt, as are ``.out`` aliases of ops whose primary def is consumed).
-* ``ALC402`` — the peak live set (sum of live value footprints over the
-  linearized order) exceeds total on-chip capacity.
+* ``ALC402`` — the live set (sum of live value footprints over the
+  topological order) exceeds total on-chip capacity; reported at the op
+  where it first does, stating the true peak and where it occurs.
 * ``ALC403`` — a single op's working footprint exceeds on-chip capacity:
   exactly the condition under which ``SpillInsertionPass`` inserts a
   spill/fill pair around it, so the note statically predicts every spill.
+
+Both capacity notes read the one residency walk of
+:mod:`repro.compiler.residency`.
 """
 
 from __future__ import annotations
@@ -26,18 +30,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Set
 
-from repro.compiler.ops import HighLevelOp, OpKind, Program
+from repro.compiler.ops import Program
+from repro.compiler.residency import residency
 from repro.compiler.verify.base import Analysis, AnalysisContext
 from repro.compiler.verify.diagnostics import Diagnostic
-
-
-def value_bytes(op: HighLevelOp, word_bytes: float) -> int:
-    """On-chip footprint of the value(s) ``op`` defines (0 for HBM ops)."""
-    if op.kind in (OpKind.HBM_LOAD, OpKind.HBM_STORE):
-        return 0
-    if op.kind in (OpKind.EW_MULT, OpKind.EW_ADD):
-        return int(op.num_elements() * word_bytes)
-    return int(op.poly_degree * op.channels * op.polys * word_bytes)
 
 
 class LivenessAnalysis(Analysis):
@@ -103,51 +99,30 @@ class LivenessAnalysis(Analysis):
     def _capacity(program: Program,
                   ctx: AnalysisContext) -> List[Diagnostic]:
         """Peak-live-set and per-op footprint pressure (spill prediction)."""
-        capacity = ctx.config.total_onchip_bytes
-        wb = ctx.config.word_bytes
-        out: List[Diagnostic] = []
         try:
-            order = program.linearize()
+            res = residency(program, ctx.config.word_bytes)
         except ValueError:
-            return out               # cycle: structure analysis reports it
-        index_of = {id(op): i for i, op in enumerate(program.ops)}
-        # last use position (in linearized order) of each producing op
-        last_use: Dict[int, int] = {}
-        producer: Dict[str, int] = {}
-        for pos, op in enumerate(order):
-            for v in op.uses:
-                if v in producer:
-                    last_use[producer[v]] = pos
-            for v in op.defs:
-                producer[v] = index_of[id(op)]
-                last_use.setdefault(index_of[id(op)], pos)
-        expiry: Dict[int, List[int]] = {}
-        for src, pos in last_use.items():
-            expiry.setdefault(pos, []).append(src)
-        live = 0
-        peak_reported = False
-        for pos, op in enumerate(order):
-            i = index_of[id(op)]
-            footprint = op.footprint_bytes(wb)
-            if (footprint > capacity
-                    and op.kind not in (OpKind.HBM_LOAD, OpKind.HBM_STORE)):
-                tag = op.label or f"op{i}"
-                out.append(Diagnostic(
-                    "ALC403",
-                    f"{tag}: working footprint {footprint / 1e6:.1f} MB "
-                    f"exceeds on-chip capacity {capacity / 1e6:.1f} MB — "
-                    f"SpillInsertionPass will spill here",
-                    op_index=i, op_label=op.label))
-            live += value_bytes(op, wb)
-            if live > capacity and not peak_reported:
-                tag = op.label or f"op{i}"
-                out.append(Diagnostic(
-                    "ALC402",
-                    f"{tag}: peak live set reaches {live / 1e6:.1f} MB, "
-                    f"beyond the {capacity / 1e6:.1f} MB of on-chip SRAM",
-                    op_index=i, op_label=op.label))
-                peak_reported = True
-            for src in expiry.get(pos, ()):
-                src_op = program.ops[src]
-                live -= value_bytes(src_op, wb)
+            return []                # cycle: structure analysis reports it
+        capacity = ctx.config.total_onchip_bytes
+        out: List[Diagnostic] = []
+        for i in res.oversized(capacity):
+            op = program.ops[i]
+            out.append(Diagnostic(
+                "ALC403",
+                f"{op.label or f'op{i}'}: working footprint "
+                f"{res.footprints[i] / 1e6:.1f} MB exceeds on-chip capacity "
+                f"{capacity / 1e6:.1f} MB — SpillInsertionPass will spill "
+                f"here",
+                op_index=i, op_label=op.label))
+        first = res.first_overflow(capacity)
+        if first is not None and res.peak_index is not None:
+            op = program.ops[first]
+            peak_op = program.ops[res.peak_index]
+            out.append(Diagnostic(
+                "ALC402",
+                f"{op.label or f'op{first}'}: live set first exceeds the "
+                f"{capacity / 1e6:.1f} MB of on-chip SRAM here; it peaks at "
+                f"{res.peak_bytes / 1e6:.1f} MB at op{res.peak_index} "
+                f"({peak_op.label or peak_op.kind.value})",
+                op_index=first, op_label=op.label))
         return out

@@ -561,14 +561,14 @@ def _walk(program: Program, domain: NoiseDomain) -> List[_OpHeadroom]:
     """Interpret ``domain`` over the program; one record per defining op,
     in program order."""
     try:
-        order = program.linearize()
+        order = program.topo_order()
     except ValueError:
         return []                     # cycle: structure analysis reports it
-    index_of = {id(op): i for i, op in enumerate(program.ops)}
     defined = {v for op in program.ops for v in op.defs}
     state: Dict[str, NoiseState] = {}
     records: List[_OpHeadroom] = []
-    for op in order:
+    for i in order:
+        op = program.ops[i]
         if op.kind in (OpKind.HBM_LOAD, OpKind.HBM_STORE):
             continue                  # streamed operands carry no ct state
         # seed external inputs (uses with no producer) at a fresh state
@@ -581,7 +581,7 @@ def _walk(program: Program, domain: NoiseDomain) -> List[_OpHeadroom]:
             bits = domain.headroom_bits(out_state)
             hint = domain.recovery_hint(op, ins, exhausted=bits <= 0.0)
             records.append(_OpHeadroom(
-                index_of[id(op)], op.label, op.defs, bits, hint))
+                i, op.label, op.defs, bits, hint))
         for v in op.defs:
             state[v] = out_state
     records.sort(key=lambda r: r.index)

@@ -10,8 +10,8 @@ Every polynomial is distributed across the computing units *by slot*: unit
   step is the transpose (handled by the dedicated transpose RF).
 
 :class:`SlotPartition` computes the placement, verifies the locality
-properties, and accounts per-unit storage so the scheduler can check that a
-working set fits the 512KB local scratchpads.
+properties, and accounts per-unit storage so a working set can be checked
+against the 512KB local scratchpads.
 """
 
 from __future__ import annotations

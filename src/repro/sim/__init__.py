@@ -30,7 +30,6 @@ from repro.sim.faults import (
     ResiliencePolicy,
     ResilienceReport,
 )
-from repro.sim.scheduler import ScheduleDecision, TimeSharingScheduler
 from repro.sim.simulator import (
     CycleSimulator,
     OpTiming,
@@ -47,9 +46,7 @@ __all__ = [
     "ResilienceReport",
     "OpTiming",
     "POLICIES",
-    "ScheduleDecision",
     "ScheduledOp",
     "SimulationReport",
     "TenantStats",
-    "TimeSharingScheduler",
 ]

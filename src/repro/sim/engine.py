@@ -28,7 +28,7 @@ import heapq
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.compiler.cost.model import ResourceBound
+from repro.compiler.cost.model import RESOURCES, ResourceBound, resource_demand
 from repro.compiler.ops import Program
 from repro.compiler.verify.diagnostics import Diagnostic
 from repro.compiler.verify.hazards import schedule_diagnostics
@@ -40,8 +40,6 @@ if TYPE_CHECKING:  # runtime import would be circular via repro.sim.faults
 
 #: Dispatch policies understood by :meth:`EventDrivenSimulator.run_mix`.
 POLICIES = ("fcfs", "round-robin", "priority")
-
-_RESOURCES = ("compute", "sram", "hbm")
 
 
 @dataclass(frozen=True)
@@ -291,7 +289,7 @@ class EventDrivenSimulator:
             heap = [i for i in range(len(p.ops)) if d[i] == 0]
             heapq.heapify(heap)
             ready.append(heap)
-        free = {r: 0.0 for r in _RESOURCES}
+        free = dict.fromkeys(RESOURCES, 0.0)
         schedule: List[ScheduledOp] = []
         makespan = 0.0
         rr_next = 0                              # round-robin pointer
@@ -316,12 +314,7 @@ class EventDrivenSimulator:
                         heapq.heappush(ready[t], sidx)
                 remaining -= 1
                 continue
-            needs = {
-                "compute": timing.compute_cycles,
-                "sram": timing.sram_cycles,
-                "hbm": timing.hbm_cycles,
-            }
-            used = {r: c for r, c in needs.items() if c > 0}
+            used = resource_demand(timing)
             if injector is not None:
                 # provisional start is valid on the adjusted timing too:
                 # adjustments preserve the set of used resources
@@ -339,12 +332,7 @@ class EventDrivenSimulator:
                     continue
                 if adjusted is not timing:
                     timing = adjusted
-                    needs = {
-                        "compute": timing.compute_cycles,
-                        "sram": timing.sram_cycles,
-                        "hbm": timing.hbm_cycles,
-                    }
-                    used = {r: c for r, c in needs.items() if c > 0}
+                    used = resource_demand(timing)
             if used:
                 start = max(dep_ready,
                             max(free[r] for r in used))

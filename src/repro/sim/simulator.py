@@ -25,6 +25,7 @@ from repro.compiler.cost.model import (
     ENERGY_PJ_PER_SRAM_BYTE,
     STATIC_WATTS,
     ResourceBound,
+    ResourceFrontier,
     classify_bound,
     cost_op,
 )
@@ -164,30 +165,19 @@ class SimulationReport:
     def timeline(self) -> List[Tuple[str, float, float]]:
         """Resource-pipelined schedule: ``(label, start, end)`` per op.
 
-        Models the decoupled access/execute pipeline: compute, on-chip
-        bandwidth and HBM are three independent resources; each op occupies
-        each resource it needs in program order, starting when both its
-        predecessor-on-each-resource finishes (no op reordering).  Total
-        makespan lands between the pipelined lower bound and the serialized
-        upper bound.
+        Models the decoupled access/execute pipeline on a
+        :class:`~repro.compiler.cost.model.ResourceFrontier`: compute,
+        on-chip bandwidth and HBM are three independent resources, each op
+        occupies them in program order (no op reordering), and zero-cost
+        ops are skipped.  Total makespan lands between the pipelined lower
+        bound and the serialized upper bound.
         """
-        free = {"compute": 0.0, "sram": 0.0, "hbm": 0.0}
+        frontier = ResourceFrontier()
         out = []
         for t in self.timings:
-            needs = {
-                "compute": t.compute_cycles,
-                "sram": t.sram_cycles,
-                "hbm": t.hbm_cycles,
-            }
-            used = {r: c for r, c in needs.items() if c > 0}
-            if not used:
-                continue
-            start = max(free[r] for r in used)
-            duration = max(used.values())
-            end = start + duration
-            for r in used:
-                free[r] = start + used[r]
-            out.append((t.op.label or t.op.kind.value, start, end))
+            start, end = frontier.place(t)
+            if t.serialized_cycles > 0:
+                out.append((t.op.label or t.op.kind.value, start, end))
         return out
 
     def scheduled_cycles(self) -> float:
@@ -285,11 +275,12 @@ class CycleSimulator:
                          timings: Optional[List[OpTiming]]) -> SimulationReport:
         """The injected twin of :meth:`run`.
 
-        Walks the same resource-pipelined frontier as the trace collector
-        to know each op's start cycle (fault windows are time-addressed),
-        hands every op to the injector, and accumulates the *adjusted*
-        timings.  With an empty fault model ``adjust`` returns the original
-        objects, so the accumulation below is bit-identical to :meth:`run`.
+        Places every op on a :class:`~repro.compiler.cost.model.
+        ResourceFrontier` (the trace collector's schedule) to know its
+        start cycle (fault windows are time-addressed), hands it to the
+        injector, and accumulates the *adjusted* timings.  With an empty
+        fault model ``adjust`` returns the original objects, so the
+        accumulation below is bit-identical to :meth:`run`.
         """
         injector = self.injector
         program = injector.prepare(program)
@@ -300,21 +291,16 @@ class CycleSimulator:
         if collector is not None:
             collector.begin_program(program.name, self.config)
             edges = program.dependency_edges()
-        free = {"compute": 0.0, "sram": 0.0, "hbm": 0.0}
+        frontier = ResourceFrontier()
         aborted = False
         for i, t in enumerate(timings):
             if aborted:
                 injector.note_skipped(program.name)
                 continue
-            needs = {
-                "compute": t.compute_cycles,
-                "sram": t.sram_cycles,
-                "hbm": t.hbm_cycles,
-            }
-            used = [r for r, c in needs.items() if c > 0]
-            start = (max(free[r] for r in used) if used
-                     else max(free.values()))
-            adjusted = injector.adjust(program.name, i, t.op, t, start)
+            # adjustment preserves the used-resource set, so the start
+            # computed here is where the adjusted op is placed
+            adjusted = injector.adjust(program.name, i, t.op, t,
+                                       frontier.start(t))
             if adjusted is None:
                 aborted = True
                 continue
@@ -323,15 +309,7 @@ class CycleSimulator:
             report.total_sram_cycles += adjusted.sram_cycles
             report.total_hbm_cycles += adjusted.hbm_cycles
             report.total_busy_core_cycles += adjusted.busy_core_cycles
-            if used:  # adjustment preserves the used-resource set
-                adjusted_needs = {
-                    "compute": adjusted.compute_cycles,
-                    "sram": adjusted.sram_cycles,
-                    "hbm": adjusted.hbm_cycles,
-                }
-                for r in used:
-                    free[r] = start + adjusted_needs[r]
-                injector.observe_end(start + adjusted.serialized_cycles)
+            injector.observe_end(frontier.place(adjusted)[1])
             if collector is not None:
                 collector.record_op(adjusted.op, adjusted,
                                     deps=edges.get(i, ()))

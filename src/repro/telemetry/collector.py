@@ -1,31 +1,26 @@
 """The telemetry sink: collects events and computes aggregate views.
 
-A :class:`TraceCollector` is handed to the producers (``CycleSimulator``,
-``MetaOpExecutor``, ``TimeSharingScheduler``, the memory models) which call
-its ``record_*`` methods.  Producers hold ``collector=None`` by default and
+A :class:`TraceCollector` is handed to the producers, which call its
+``record_*`` methods.  Producers hold ``collector=None`` by default and
 guard every call with ``if collector is not None`` — with tracing off no
 telemetry code runs at all, keeping the calibration path bit-identical.
 
-Event start/end cycles follow the same resource-pipelined schedule as
-:meth:`repro.sim.simulator.SimulationReport.timeline`: compute, on-chip
-bandwidth and HBM are three independent resources; each op occupies the
-resources it needs in program order, starting when every one of them is
-free.
+Event start/end cycles come from the same
+:class:`~repro.compiler.cost.model.ResourceFrontier` as
+:meth:`repro.sim.simulator.SimulationReport.timeline`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.compiler.cost.model import RESOURCES, ResourceFrontier
 from repro.telemetry.events import (
     FaultEvent,
     MemoryEvent,
     MetaOpEvent,
     TraceEvent,
 )
-
-#: The three pipelined hardware resources of the timing model.
-RESOURCES = ("compute", "sram", "hbm")
 
 
 class TraceCollector:
@@ -37,7 +32,6 @@ class TraceCollector:
         self.memory_events: List[MemoryEvent] = []
         #: Fault injections/recoveries (from repro.sim.faults injectors).
         self.fault_events: List[FaultEvent] = []
-        self.schedule_decisions: List[object] = []
         self.pass_telemetry: List[object] = []
         #: LintReports recorded by the verify layer (PassManager lint gate,
         #: ``repro lint`` runs handed this collector).
@@ -52,7 +46,7 @@ class TraceCollector:
         self.program_configs: Dict[str, Dict[str, float]] = {}
         self._program: Optional[str] = None
         self._config = None
-        self._free: Dict[str, float] = {}
+        self._frontier = ResourceFrontier()
         self._index = 0
 
     # ------------------------------ program scope ---------------------- #
@@ -65,7 +59,7 @@ class TraceCollector:
             )
         self._program = name
         self._config = config
-        self._free = {r: 0.0 for r in RESOURCES}
+        self._frontier = ResourceFrontier()
         self._index = 0
         self.program_configs[name] = {
             "total_cores": config.total_cores,
@@ -86,19 +80,7 @@ class TraceCollector:
         """
         if self._program is None:
             raise RuntimeError("record_op outside begin_program/end_program")
-        needs = {
-            "compute": timing.compute_cycles,
-            "sram": timing.sram_cycles,
-            "hbm": timing.hbm_cycles,
-        }
-        used = {r: c for r, c in needs.items() if c > 0}
-        if used:
-            start = max(self._free[r] for r in used)
-            end = start + max(used.values())
-            for r in used:
-                self._free[r] = start + used[r]
-        else:  # zero-cost op: zero-duration marker at the current frontier
-            start = end = max(self._free.values())
+        start, end = self._frontier.place(timing)
         event = TraceEvent(
             program=self._program,
             index=self._index,
@@ -145,10 +127,6 @@ class TraceCollector:
     def record_fault(self, event: FaultEvent) -> None:
         """Record one fault injection/recovery (from a FaultInjector)."""
         self.fault_events.append(event)
-
-    def record_schedule(self, decision) -> None:
-        """Record a scheduler working-set decision."""
-        self.schedule_decisions.append(decision)
 
     def record_pass(self, telemetry) -> None:
         """Record one compiler-pass telemetry record (from PassManager)."""

@@ -14,7 +14,8 @@ import io
 import json
 from typing import Dict
 
-from repro.telemetry.collector import RESOURCES, TraceCollector
+from repro.compiler.cost.model import RESOURCES
+from repro.telemetry.collector import TraceCollector
 from repro.telemetry.events import CSV_FIELDS
 
 

@@ -15,7 +15,6 @@ from repro.compiler.passes import (
 )
 from repro.compiler.passes.base import PassContext
 from repro.hw.config import ALCHEMIST_DEFAULT
-from repro.sim.scheduler import TimeSharingScheduler
 from repro.sim.simulator import CycleSimulator
 
 
@@ -143,15 +142,18 @@ def test_spill_resident_program_is_unchanged():
     assert SpillInsertionPass().run(prog, _ctx()) is prog
 
 
-def test_scheduler_delegates_to_spill_pass():
+def test_spill_oversized_moves_twice_the_overflow():
+    """An oversized op is evicted and restored once: the spill/fill pair
+    moves twice its footprint's overflow past the on-chip capacity."""
     prog = Program("huge")
     prog.add(_oversized_op())
-    scheduler = TimeSharingScheduler()
-    decision = scheduler.schedule(prog)
-    spilled = scheduler.schedule_with_spills(prog)
+    overflow = (prog.ops[0].footprint_bytes(ALCHEMIST_DEFAULT.word_bytes)
+                - ALCHEMIST_DEFAULT.total_onchip_bytes)
+    assert overflow > 0
+    spilled = SpillInsertionPass().run(prog, _ctx())
     assert [op.kind for op in spilled.ops] == [
         OpKind.HBM_STORE, OpKind.EW_MULT, OpKind.HBM_LOAD]
-    assert spilled.total_hbm_bytes() == 2 * decision.spill_bytes
+    assert spilled.total_hbm_bytes() == 2 * overflow
 
 
 # ------------------------------ traffic ---------------------------------- #

@@ -15,7 +15,6 @@ from repro.compiler.tfhe_programs import PBS_SET_I, pbs_batch_program
 from repro.hw.config import ALCHEMIST_DEFAULT
 from repro.hw.memory import HBMModel, LocalScratchpad, TransposeBuffer
 from repro.metaop.meta_op import AccessPattern, MetaOp, MetaOpExecutor
-from repro.sim.scheduler import TimeSharingScheduler
 from repro.sim.simulator import CycleSimulator
 from repro.telemetry import TraceCollector
 
@@ -191,14 +190,6 @@ def test_memory_models_untouched_without_collector():
     pad = LocalScratchpad(capacity_bytes=1 << 20)
     pad.record_read(256)
     assert pad.bytes_read == 256
-
-
-def test_scheduler_decision_hook():
-    collector = TraceCollector()
-    scheduler = TimeSharingScheduler(collector=collector)
-    decision = scheduler.schedule(cmult_program())
-    assert collector.schedule_decisions == [decision]
-    assert decision.resident
 
 
 def test_zero_cost_ops_get_zero_duration_markers():
