@@ -11,13 +11,10 @@ active kernel backend (:mod:`repro.kernels`) — select one with
 ``REPRO_KERNEL_BACKEND=reference pytest ...`` to time the per-limb
 baseline instead of the batched default.
 
-This file is also the producer of the committed ``BENCH_kernels.json``
-golden: ``PYTHONPATH=src python benchmarks/bench_kernels.py -o
-BENCH_kernels.json`` delegates to :mod:`repro.kernels.bench`, which times
-every kernel under both backends and records speedups + bit-identity.
+The committed ``BENCH_kernels.json`` golden (reference vs batched speedups
+and bit-identity per kernel) is produced by ``repro kernels -o
+BENCH_kernels.json`` (:mod:`repro.kernels.bench`), not by this file.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -168,10 +165,3 @@ def test_bench_cycle_sim_bootstrapping(benchmark, simulator):
     program = bootstrapping_program()
     report = benchmark(simulator.run, program)
     assert report.cycles > 0
-
-
-if __name__ == "__main__":
-    # producer mode: regenerate the committed kernel-throughput golden
-    from repro.kernels.bench import main
-
-    sys.exit(main())

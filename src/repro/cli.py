@@ -27,26 +27,31 @@ Commands
     Simulate one workload with telemetry on and export the cycle trace
     (Chrome ``chrome://tracing`` JSON or CSV).
 ``bench [--out-dir DIR]``
-    Re-run the Table 7 / Figure 6 benchmark suites and write
-    ``BENCH_table7.json`` / ``BENCH_fig6.json``.
-``faults [workload ...] [--campaign C] [--seed N] [--policy P] [--json] [-o F]``
+    Regenerate every default-config golden in
+    :data:`repro.telemetry.bench.GOLDENS` (``BENCH_table7.json``,
+    ``BENCH_fig6.json``, ``BENCH_faults.json``, ``BENCH_serving.json``).
+``kernels [--quick] [-o FILE] [--check-floor X]``
+    Time the kernel backends (:mod:`repro.kernels.bench`); ``-o`` writes
+    the ``BENCH_kernels.json`` document, ``--check-floor`` exits 1 unless
+    the gated ops clear that speedup with bit-identical outputs.
+``faults [workload ...] [--campaign C] [--seed N] [--policy P] [--json]``
     Seeded fault-injection campaign (:mod:`repro.sim.faults`): HBM
     brown-outs, core dropout, scratchpad loss and transient op failures
     applied to the event-driven scheduler under a resilience policy,
     reporting makespan inflation, availability and fairness per workload
-    plus the cross-scheme mix.  Deterministic for a fixed seed; ``-o``
-    writes the same JSON document as the committed ``BENCH_faults.json``.
+    plus the cross-scheme mix.  Deterministic for a fixed seed; with the
+    defaults, ``--json`` prints the committed ``BENCH_faults.json``.
     Exit codes: 0 — campaign completed (possibly degraded); 1 — at least
     one tenant aborted; 2 — usage error (unknown workload, campaign, or
     policy).
 ``serve [--profile P ...] [--seed N] [--rate R[,R...]] [--requests N]
-[--admission degrade|shed] [--json] [-o F]``
+[--admission degrade|shed] [--json]``
     Replay seeded FHE-as-a-service traffic (:mod:`repro.serve`) through
     admission control, cross-request slot batching and the event-driven
     scheduler, sweeping offered load and reporting per-SLA-class
     latency percentiles, goodput and shed/degrade counts.
-    Deterministic for a fixed seed; ``-o`` writes the same JSON document
-    as the committed ``BENCH_serving.json``.  Exit codes: 0 — every
+    Deterministic for a fixed seed; with the defaults, ``--json`` prints
+    the committed ``BENCH_serving.json``.  Exit codes: 0 — every
     request served (possibly degraded); 1 — at least one request shed;
     2 — usage error (unknown profile or admission mode).
 ``lint [workload ...] [--json] [--notes] [--engine-audit] [--noise]
@@ -458,27 +463,38 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.telemetry.bench import write_bench_files
+    import os
 
-    paths = write_bench_files(args.out_dir, _config_from_args(args))
-    for stem, path in paths.items():
+    from repro.telemetry.bench import GOLDENS, write_golden
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    for stem, produce in GOLDENS.items():
+        path = os.path.join(args.out_dir, stem + ".json")
+        write_golden(path, produce())
         print(f"wrote {path}")
     return 0
 
 
 def cmd_kernels(args) -> int:
-    from repro.kernels.bench import main as kernels_main
+    from repro.kernels.bench import bench_kernels, check_floors, print_table
+    from repro.telemetry.bench import write_golden
 
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.json:
-        forwarded.append("--json")
+    doc = bench_kernels(quick=args.quick)
     if args.output:
-        forwarded.extend(["-o", args.output])
-    if args.check_floor is not None:
-        forwarded.extend(["--check-floor", str(args.check_floor)])
-    return kernels_main(forwarded)
+        write_golden(args.output, doc)
+        print(f"wrote {args.output}")
+    else:
+        print_table(doc)
+    if args.check_floor is None:
+        return 0
+    problems = check_floors(doc, args.check_floor)
+    for problem in problems:
+        print(f"FAIL kernels: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"OK    kernels: gated ops clear {args.check_floor:g}x "
+          f"and all outputs are bit-identical")
+    return 0
 
 
 def cmd_faults(args) -> int:
@@ -518,12 +534,7 @@ def cmd_faults(args) -> int:
         workloads=names,
         include_mix=not args.no_mix,
     )
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}")
-    elif args.json:
+    if args.json:
         print(json.dumps(doc, indent=1, sort_keys=True))
     else:
         print(f"campaign {args.campaign!r} seed {args.seed} "
@@ -593,12 +604,7 @@ def cmd_serve(args) -> int:
         admission_mode=args.admission,
         config=serve_config,
     )
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}")
-    elif args.json:
+    if args.json:
         print(json.dumps(doc, indent=1, sort_keys=True))
     else:
         print(f"serving seed {args.seed} admission {args.admission!r} "
@@ -725,16 +731,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_hw_args(trace_p)
     bench_p = sub.add_parser("bench", help="write BENCH_*.json files")
     bench_p.add_argument("--out-dir", default=".",
-                         help="directory for BENCH_table7.json/BENCH_fig6.json")
-    add_hw_args(bench_p)
+                         help="directory for the regenerated BENCH_*.json")
     kern_p = sub.add_parser(
         "kernels",
         help="benchmark the kernel backends (batched numpy vs per-limb "
              "reference) and check bit-identity")
     kern_p.add_argument("--quick", action="store_true",
                         help="short chain + short timing windows (CI smoke)")
-    kern_p.add_argument("--json", action="store_true",
-                        help="print the full JSON document")
     kern_p.add_argument("-o", "--output",
                         help="write BENCH_kernels.json-style output here")
     kern_p.add_argument("--check-floor", type=float, default=None,
@@ -756,8 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "retry-abort, fail-fast, patient")
     faults_p.add_argument("--json", action="store_true",
                           help="print the full campaign JSON document")
-    faults_p.add_argument("-o", "--output",
-                          help="write the campaign JSON to this file")
     faults_p.add_argument("--no-mix", action="store_true",
                           help="skip the cross-scheme tenant mix")
     add_hw_args(faults_p)
@@ -780,8 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "looser SLA class) or shed (reject)")
     serve_p.add_argument("--json", action="store_true",
                          help="print the full serving JSON document")
-    serve_p.add_argument("-o", "--output",
-                         help="write the serving JSON to this file")
     serve_p.add_argument("--compressed", action="store_true",
                          help="serve with seed-expanded keys / compressed "
                               "HBM transfers (CompressionModel defaults)")

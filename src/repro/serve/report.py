@@ -1,4 +1,4 @@
-"""Serving benchmark runner + ``BENCH_serving.json`` writer.
+"""Serving benchmark runner: the ``BENCH_serving.json`` producer.
 
 :func:`run_serving` sweeps offered load over the seeded traffic profiles
 and emits a deterministic JSON document, ``alchemist-bench/serving/v1``:
@@ -6,8 +6,8 @@ per-profile and per-rate latency percentiles, goodput, shed/degrade
 counts and SLA-violation fractions.  For a fixed ``(seed, profiles,
 rates, config)`` the document is byte-stable — no timestamps, no
 environment probing, every random draw seeded — so ``BENCH_serving.json``
-is committed and gated by ``benchmarks/check_bench_drift.py`` exactly
-like the Table 7 / Figure 6 / faults goldens.
+is committed, written by ``repro bench`` and gated in tier-1 exactly like
+the Table 7 / Figure 6 / faults goldens.
 
 The load sweep reuses one *unit-rate arrival skeleton* per ``(profile,
 seed)`` — :func:`~repro.serve.traffic.generate_trace` scales arrival
@@ -18,8 +18,6 @@ measure load, not sampling noise.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, Optional, Sequence
 
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
@@ -27,7 +25,6 @@ from repro.serve.admission import AdmissionController
 from repro.serve.batching import SlotBatcher
 from repro.serve.service import ServeReport, ServingSimulator
 from repro.serve.traffic import PROFILES, generate_trace, trace_digest
-from repro.telemetry.bench import _config_dict
 
 #: Schema identifier embedded in the emitted document.
 SERVING_SCHEMA = "alchemist-bench/serving/v1"
@@ -105,28 +102,6 @@ def run_serving(
         "admission_mode": admission_mode,
         "n_requests": n_requests,
         "rates_rps": list(rates),
-        "config": _config_dict(config),
+        "config": config.bench_dict(),
         "profiles": per_profile,
     }
-
-
-def write_serving_file(
-    out_dir: str = ".",
-    seed: int = 0,
-    profiles: Optional[Sequence[str]] = None,
-    rates: Sequence[float] = DEFAULT_RATES,
-    n_requests: int = DEFAULT_REQUESTS,
-    admission_mode: str = "degrade",
-    config: AlchemistConfig = ALCHEMIST_DEFAULT,
-) -> str:
-    """Write ``BENCH_serving.json`` (same JSON conventions as the other
-    goldens: ``indent=1, sort_keys=True`` + trailing newline)."""
-    os.makedirs(out_dir, exist_ok=True)
-    doc = run_serving(seed=seed, profiles=profiles, rates=rates,
-                      n_requests=n_requests, admission_mode=admission_mode,
-                      config=config)
-    path = os.path.join(out_dir, "BENCH_serving.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path

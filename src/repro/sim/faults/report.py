@@ -4,15 +4,13 @@
 workloads (and one cross-scheme mix — the paper's Section 6.5 scenario
 under degraded hardware) and emits a deterministic JSON document,
 ``alchemist-bench/faults/v1``.  For a fixed ``(campaign, seed, policy,
-config)`` the document is byte-stable, so ``BENCH_faults.json`` can be
-committed and gated by ``benchmarks/check_bench_drift.py`` exactly like
-the Table 7 / Figure 6 goldens.
+config)`` the document is byte-stable, so ``BENCH_faults.json`` is
+committed, written by ``repro bench`` and gated in tier-1 exactly like the
+Table 7 / Figure 6 goldens.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -29,9 +27,8 @@ from repro.compiler.tfhe_programs import PBS_SET_I, pbs_batch_program
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
 from repro.sim.engine import EventDrivenSimulator
 from repro.sim.faults.injector import FaultInjector
-from repro.sim.faults.model import FaultModel, build_campaign, campaign_seed
+from repro.sim.faults.model import build_campaign, campaign_seed
 from repro.sim.faults.policy import DEFAULT_POLICY, ResiliencePolicy
-from repro.telemetry.bench import _config_dict
 
 #: Schema identifier embedded in the emitted document.
 FAULTS_SCHEMA = "alchemist-bench/faults/v1"
@@ -193,8 +190,8 @@ def run_campaign(
     """Sweep the campaign over the shipped workloads; JSON-ready result.
 
     Deterministic for fixed inputs: no timestamps, no environment probing,
-    every random draw is seeded — the document is byte-stable and gated in
-    ``benchmarks/check_bench_drift.py`` as ``BENCH_faults.json``.
+    every random draw is seeded — the default-argument document is the
+    byte-stable ``BENCH_faults.json`` golden.
     """
     builders = campaign_builders()
     names = list(workloads) if workloads is not None else list(
@@ -215,7 +212,7 @@ def run_campaign(
         "campaign": campaign,
         "seed": seed,
         "policy": policy.as_dict(),
-        "config": _config_dict(config),
+        "config": config.bench_dict(),
         "workloads": per_workload,
     }
     if include_mix:
@@ -225,22 +222,3 @@ def run_campaign(
             policy=policy, config=config)
         out["mix"] = mix.as_dict()
     return out
-
-
-def write_faults_file(
-    out_dir: str = ".",
-    campaign: str = "default",
-    seed: int = 0,
-    policy: ResiliencePolicy = DEFAULT_POLICY,
-    config: AlchemistConfig = ALCHEMIST_DEFAULT,
-) -> str:
-    """Write ``BENCH_faults.json`` (same JSON conventions as the other
-    goldens: ``indent=1, sort_keys=True`` + trailing newline)."""
-    os.makedirs(out_dir, exist_ok=True)
-    doc = run_campaign(campaign=campaign, seed=seed, policy=policy,
-                       config=config)
-    path = os.path.join(out_dir, "BENCH_faults.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path

@@ -10,8 +10,8 @@ so tracing-off runs are bit-identical to the pre-telemetry simulator.
   (per-class utilization, bound histograms, bandwidth occupancy).
 * :mod:`repro.telemetry.export` — Chrome-trace (``chrome://tracing``) and
   CSV exporters.
-* :mod:`repro.telemetry.bench` — the Table 7 / Figure 6 benchmark runner
-  that writes ``BENCH_table7.json`` / ``BENCH_fig6.json``.
+* :mod:`repro.telemetry.bench` — the Table 7 / Figure 6 benchmark runner,
+  the list of regenerated ``BENCH_*.json`` goldens and their one writer.
 """
 
 from repro.telemetry.collector import TraceCollector

@@ -1,5 +1,5 @@
-"""Benchmark runner: re-executes the Table 7 / Figure 6 workloads through a
-traced simulator and emits machine-readable JSON.
+"""Benchmark goldens: the one list of regenerated ``BENCH_*.json`` files
+and the one writer for them.
 
 ``BENCH_table7.json`` — basic CKKS operator latencies/throughputs against
 the paper's published column.  ``BENCH_fig6.json`` — application results:
@@ -7,17 +7,19 @@ deep CKKS apps (LoLa-MNIST, bootstrapping, HELR) with speedups over the
 published accelerator baselines, and TFHE PBS throughput for both parameter
 sets.  Every operator/workload entry carries per-op records (latency,
 utilization, bound type, resource cycles) from the trace collector.
+:data:`GOLDENS` adds the seed-0 fault campaign and serving sweep.
 
 The output is deterministic: it depends only on the architecture config and
 the workload builders — no timestamps, no environment probing — so the JSON
-files can be committed and diffed.
+files can be committed and diffed.  ``repro bench`` writes every golden in
+:data:`GOLDENS` through :func:`write_golden`, and ``tests/test_goldens.py``
+regenerates and compares each one.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from typing import Dict
+from typing import Any, Callable, Dict
 
 from repro.baselines.published import (
     ACCELERATOR_SPECS,
@@ -37,6 +39,8 @@ from repro.compiler.ckks_programs import (
 )
 from repro.compiler.tfhe_programs import PBS_SET_I, PBS_SET_II, pbs_batch_program
 from repro.hw.config import ALCHEMIST_DEFAULT, AlchemistConfig
+from repro.serve import run_serving
+from repro.sim.faults import run_campaign
 from repro.sim.simulator import CycleSimulator
 from repro.telemetry.collector import TraceCollector
 
@@ -51,19 +55,6 @@ TABLE7_OPERATORS = {
     "Cmult": cmult_program,
     "Rotation": rotation_program,
 }
-
-
-def _config_dict(config: AlchemistConfig) -> Dict[str, object]:
-    return {
-        "num_units": config.num_units,
-        "cores_per_unit": config.cores_per_unit,
-        "lanes_per_core": config.lanes_per_core,
-        "frequency_ghz": config.frequency_ghz,
-        "word_bits": config.word_bits,
-        "onchip_bandwidth_tbps": config.onchip_bandwidth_tbps,
-        "hbm_bandwidth_gbps": config.hbm_bandwidth_gbps,
-        "total_onchip_mb": config.total_onchip_bytes / 2**20,
-    }
 
 
 def _per_op_records(collector: TraceCollector, program_name: str, hz: float):
@@ -135,7 +126,7 @@ def bench_table7(
         }
     return {
         "schema": TABLE7_SCHEMA,
-        "config": _config_dict(config),
+        "config": config.bench_dict(),
         "operators": operators,
     }
 
@@ -190,26 +181,25 @@ def bench_fig6(
         }
     return {
         "schema": FIG6_SCHEMA,
-        "config": _config_dict(config),
+        "config": config.bench_dict(),
         "alchemist_area_mm2_14nm": alch_area,
         "ckks_applications": ckks,
         "tfhe_pbs": tfhe,
     }
 
 
-def write_bench_files(
-    out_dir: str = ".", config: AlchemistConfig = ALCHEMIST_DEFAULT
-) -> Dict[str, str]:
-    """Write ``BENCH_table7.json`` / ``BENCH_fig6.json`` into ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    for stem, result in (
-        ("BENCH_table7", bench_table7(config)),
-        ("BENCH_fig6", bench_fig6(config)),
-    ):
-        path = os.path.join(out_dir, stem + ".json")
-        with open(path, "w") as fh:
-            json.dump(result, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        paths[stem] = path
-    return paths
+#: Every regenerated golden, by file stem, with its default-config producer.
+GOLDENS: Dict[str, Callable[[], Dict[str, Any]]] = {
+    "BENCH_table7": bench_table7,
+    "BENCH_fig6": bench_fig6,
+    "BENCH_faults": run_campaign,
+    "BENCH_serving": run_serving,
+}
+
+
+def write_golden(path: str, doc: Dict[str, Any]) -> None:
+    """Write one BENCH document: ``indent=1``, sorted keys, a trailing
+    newline; a non-finite number raises instead of reaching the file."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
+        fh.write("\n")

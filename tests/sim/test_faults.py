@@ -346,14 +346,6 @@ def test_run_campaign_rejects_unknown_workload():
         run_campaign(workloads=["nonsense"], include_mix=False)
 
 
-def test_bench_faults_golden_byte_identical():
-    """`repro faults --seed 0 --campaign default` must reproduce the
-    committed BENCH_faults.json byte for byte."""
-    committed = (REPO_ROOT / "BENCH_faults.json").read_text()
-    regenerated = json.dumps(run_campaign(), indent=1, sort_keys=True) + "\n"
-    assert regenerated == committed
-
-
 # --------------------------- CLI ----------------------------------------- #
 
 
@@ -386,11 +378,9 @@ def test_cli_faults_abort_exit_code():
                  "fail-fast", "bootstrapping", "--no-mix"]) == 1
 
 
-def test_cli_faults_writes_output_file(tmp_path, capsys):
-    out = tmp_path / "faults.json"
+def test_cli_faults_writes_output_file(capsys):
     assert main(["faults", "--campaign", "hbm", "--seed", "2",
-                 "keyswitch", "--no-mix", "-o", str(out)]) == 0
-    capsys.readouterr()
-    doc = json.loads(out.read_text())
+                 "keyswitch", "--no-mix", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["campaign"] == "hbm" and doc["seed"] == 2
     assert list(doc["workloads"]) == ["keyswitch"]

@@ -1,6 +1,7 @@
 """Tests for the BENCH_*.json benchmark runner."""
 
 import json
+import math
 
 import pytest
 
@@ -8,11 +9,13 @@ from repro.baselines.published import TABLE7_BASELINES
 from repro.cli import main
 from repro.telemetry.bench import (
     FIG6_SCHEMA,
+    GOLDENS,
     TABLE7_SCHEMA,
     bench_fig6,
     bench_table7,
-    write_bench_files,
+    write_golden,
 )
+from tests.test_goldens import iter_drift
 
 REQUIRED_OP_FIELDS = {
     "name", "kind", "operator_class", "latency_us", "start_us",
@@ -78,29 +81,15 @@ def test_bench_is_deterministic(table7):
 
 
 def test_write_bench_files(tmp_path, table7, fig6):
-    paths = write_bench_files(str(tmp_path))
-    assert set(paths) == {"BENCH_table7", "BENCH_fig6"}
+    for stem, doc in (("BENCH_table7", table7), ("BENCH_fig6", fig6)):
+        write_golden(str(tmp_path / f"{stem}.json"), doc)
     written7 = json.loads((tmp_path / "BENCH_table7.json").read_text())
     written6 = json.loads((tmp_path / "BENCH_fig6.json").read_text())
     assert written7 == json.loads(json.dumps(table7))
     assert written6["schema"] == FIG6_SCHEMA
 
 
-def test_committed_bench_files_have_no_drift(table7, fig6, capsys):
-    """The repo-root BENCH_*.json stay bit-compatible with regeneration —
-    the same check the CI bench-drift job runs."""
-    import pathlib
-
-    from benchmarks.check_bench_drift import check_file
-
-    root = pathlib.Path(__file__).resolve().parents[2]
-    assert check_file(root, "BENCH_table7", table7, rtol=1e-9) == 0
-    assert check_file(root, "BENCH_fig6", fig6, rtol=1e-9) == 0
-
-
-def test_drift_checker_reports_mismatches(capsys):
-    from benchmarks.check_bench_drift import iter_drift
-
+def test_drift_checker_reports_mismatches(tmp_path):
     drift = list(iter_drift(
         {"a": {"b": 1.0}, "ops": [1, 2], "s": "x"},
         {"a": {"b": 2.0}, "ops": [1, 3], "s": "y"},
@@ -108,11 +97,23 @@ def test_drift_checker_reports_mismatches(capsys):
     assert sorted(leaf for leaf, _, _ in drift) == ["a.b", "ops[1]", "s"]
     # tolerance: tiny float jitter is not drift
     assert list(iter_drift({"x": 1.0}, {"x": 1.0 + 1e-12}, rtol=1e-9)) == []
+    # a non-finite regenerated number is drift, whatever the tolerance
+    for bad in (math.nan, math.inf):
+        assert [leaf for leaf, _, _ in iter_drift(
+            {"x": 1.0}, {"x": bad}, rtol=1e-9)] == ["x"]
+    # bool vs number is a type change, though True == 1 in Python
+    assert [leaf for leaf, _, _ in iter_drift(
+        {"x": True}, {"x": 1}, rtol=1e-9)] == ["x"]
+    assert [leaf for leaf, _, _ in iter_drift(
+        {"x": 1}, {"x": True}, rtol=1e-9)] == ["x"]
+    # and the writer refuses to put a non-finite value into a golden
+    with pytest.raises(ValueError):
+        write_golden(str(tmp_path / "nan.json"), {"x": math.nan})
 
 
 def test_cli_bench(tmp_path, capsys):
     assert main(["bench", "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "BENCH_table7.json" in out and "BENCH_fig6.json" in out
-    assert (tmp_path / "BENCH_table7.json").exists()
-    assert (tmp_path / "BENCH_fig6.json").exists()
+    for stem in GOLDENS:
+        assert f"{stem}.json" in out
+        assert (tmp_path / f"{stem}.json").exists()

@@ -154,8 +154,9 @@ def test_lint_notes_shows_advisories(capsys):
 
 
 def test_lint_engine_audit(capsys):
-    assert main(["lint", "cmult", "tfhe-pbs", "--engine-audit"]) == 0
-    assert "clean (0 diagnostics)" in capsys.readouterr().out
+    assert main(["lint", "cmult", "keyswitch", "tfhe-pbs",
+                 "--engine-audit"]) == 0
+    assert capsys.readouterr().out.count("clean (0 diagnostics)") == 3
 
 
 def test_lint_fail_on_note_exits_nonzero(capsys):
@@ -361,28 +362,13 @@ def test_serve_json_document(capsys):
     assert point["served"] + point["shed"] == 40
 
 
-def test_serve_output_file_replays_byte_identically(tmp_path, capsys):
-    first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
-    assert main(["serve", "--profile", "storm", "--rate", "2000",
-                 "--requests", "40", "-o", str(first)]) == 0
-    assert main(["serve", "--profile", "storm", "--rate", "2000",
-                 "--requests", "40", "-o", str(second)]) == 0
-    capsys.readouterr()
-    assert first.read_bytes() == second.read_bytes()
-
-
-def test_serve_matches_committed_golden(tmp_path, capsys):
-    """`repro serve -o` with default arguments reproduces the committed
-    BENCH_serving.json byte for byte."""
-    import pathlib
-
-    committed = pathlib.Path(__file__).resolve().parent.parent / \
-        "BENCH_serving.json"
-    out = tmp_path / "BENCH_serving.json"
-    assert main(["serve", "-o", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_bytes() == committed.read_bytes()
+def test_serve_output_file_replays_byte_identically(capsys):
+    argv = ["serve", "--profile", "storm", "--rate", "2000",
+            "--requests", "40", "--json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_serve_overload_shedding_exits_one(capsys):
