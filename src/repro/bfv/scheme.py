@@ -93,13 +93,15 @@ class BFVKeyGenerator:
             rng, primes=params.all_primes,
             hamming_weight=params.hamming_weight,
         )
+        #: ``s`` in NTT form, transformed once for every key built here.
+        self._secret_ntt = self._secret.to_ntt()
 
     def secret_key(self) -> BFVSecretKey:
         return BFVSecretKey(self.params, self._secret.copy())
 
     def public_key(self) -> BFVPublicKey:
         primes = self.params.ct_primes
-        s = restrict_channels(self.ring, self._secret, primes)
+        s = restrict_channels(self.ring, self._secret_ntt, primes)
         if self._expander is not None:
             a = self._expander.uniform_rns(
                 self.ring, primes, seedexp.pk_stream("bfv"))
@@ -107,13 +109,13 @@ class BFVKeyGenerator:
             a = self.ring.sample_uniform(self.rng, primes=primes)
         e = self.ring.sample_error(
             self.rng, primes=primes, sigma=self.params.error_std)
-        b = -(a.to_ntt() * s.to_ntt()).to_coeff() + e
+        b = -(a.to_ntt() * s).to_coeff() + e
         return BFVPublicKey(self.params, b, a, expand_seed=self.expand_seed)
 
     def relin_key(self) -> BFVRelinKey:
-        s_squared = (self._secret * self._secret).to_coeff()
+        s_squared = self._secret_ntt * self._secret_ntt
         pairs = make_switching_key(
-            self.ring, self._secret, s_squared,
+            self.ring, self._secret_ntt, s_squared,
             self.params.ct_primes, self.params.special_primes,
             self.params.digits(), self.rng, self.params.error_std,
             expander=self._expander,
@@ -124,9 +126,9 @@ class BFVKeyGenerator:
     def galois_keys(self, elements) -> BFVGaloisKeys:
         keys = {}
         for g in elements:
-            s_g = self._secret.automorphism(g)
+            s_g = self._secret.automorphism(g).to_ntt()
             keys[g] = make_switching_key(
-                self.ring, self._secret, s_g,
+                self.ring, self._secret_ntt, s_g,
                 self.params.ct_primes, self.params.special_primes,
                 self.params.digits(), self.rng, self.params.error_std,
                 expander=self._expander,

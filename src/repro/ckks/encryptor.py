@@ -11,6 +11,7 @@ from repro import seedexp
 from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.keys import PublicKey, SecretKey
 from repro.ckks.params import CKKSParams
+from repro.rns.keyswitch import restrict_channels
 from repro.rns.rns_poly import RNSPoly, RNSRing
 from repro.seedexp import SeedExpander
 
@@ -125,8 +126,8 @@ class CKKSEncryptor:
             return self.encrypt_symmetric(plaintext)
         params = self.params
         primes = plaintext.poly.primes
-        pk_b = self._restrict(self.public_key.b, primes)
-        pk_a = self._restrict(self.public_key.a, primes)
+        pk_b = restrict_channels(self.ring, self.public_key.b, primes)
+        pk_a = restrict_channels(self.ring, self.public_key.a, primes)
         u = self.ring.sample_ternary(self.rng, primes=primes)
         e0 = self.ring.sample_error(self.rng, primes=primes, sigma=params.error_std)
         e1 = self.ring.sample_error(self.rng, primes=primes, sigma=params.error_std)
@@ -140,7 +141,7 @@ class CKKSEncryptor:
             raise ValueError("symmetric encryption requires the secret key")
         params = self.params
         primes = plaintext.poly.primes
-        s = self._restrict(self.secret_key.s, primes)
+        s = restrict_channels(self.ring, self.secret_key.s, primes)
         seed_meta = None
         if self._expander is not None:
             stream = seedexp.ciphertext_stream("ckks", self._mask_nonce)
@@ -158,14 +159,6 @@ class CKKSEncryptor:
         """Encode + encrypt in one call."""
         return self.encrypt(self.encode(values, level=level))
 
-    # ------------------------------------------------------------------ #
-
-    def _restrict(self, poly: RNSPoly, primes) -> RNSPoly:
-        primes = tuple(primes)
-        index = {q: i for i, q in enumerate(poly.primes)}
-        idx = np.array([index[q] for q in primes], dtype=np.intp)
-        return RNSPoly(self.ring, poly.data[idx], primes, poly.ntt_form)
-
 
 class CKKSDecryptor:
     """Decrypts and decodes ciphertexts with the secret key."""
@@ -180,12 +173,7 @@ class CKKSDecryptor:
 
     def decrypt_poly(self, ct: Ciphertext) -> RNSPoly:
         """Raw decryption: ``sum_k c_k * s**k`` over the active chain."""
-        primes = ct.primes
-        index = {q: i for i, q in enumerate(self.secret_key.s.primes)}
-        idx = np.array([index[q] for q in primes], dtype=np.intp)
-        s = RNSPoly(
-            self.ring, self.secret_key.s.data[idx], primes, False
-        ).to_ntt()
+        s = restrict_channels(self.ring, self.secret_key.s, ct.primes).to_ntt()
         acc = ct.parts[0].to_ntt()
         s_power = None
         for k in range(1, ct.size):

@@ -17,6 +17,12 @@ from repro.ckks.encoder import CKKSEncoder
 from repro.ckks.encryptor import Ciphertext, Plaintext
 from repro.ckks.keys import GaloisKey, RelinKey, SwitchingKeyLevel
 from repro.ckks.params import CKKSParams
+from repro.rns.keyswitch import (
+    decomp_mult_moddown,
+    hybrid_keyswitch,
+    raise_digits,
+    restrict_channels,
+)
 from repro.rns.rns_poly import RNSPoly, RNSRing
 
 #: Relative tolerance when requiring operand scales to match.
@@ -132,7 +138,7 @@ class CKKSEvaluator:
     def add_plaintext(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         if abs(pt.scale - ct.scale) > _SCALE_RTOL * ct.scale:
             raise ValueError("plaintext scale must match ciphertext scale")
-        poly = self._project(pt.poly, ct.primes)
+        poly = restrict_channels(self.ring, pt.poly, ct.primes)
         parts = [ct.parts[0] + poly] + [p.copy() for p in ct.parts[1:]]
         return Ciphertext(parts, ct.scale, ct.params)
 
@@ -142,7 +148,7 @@ class CKKSEvaluator:
         return self.mul_plaintext(ct, pt)
 
     def mul_plaintext(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-        poly = self._project(pt.poly, ct.primes).to_ntt()
+        poly = restrict_channels(self.ring, pt.poly, ct.primes).to_ntt()
         parts = [(p.to_ntt() * poly).to_coeff() for p in ct.parts]
         return Ciphertext(parts, ct.scale * pt.scale, ct.params)
 
@@ -206,8 +212,6 @@ class CKKSEvaluator:
         DecompPolyMult against the key pairs in the NTT domain, and Moddowns
         the two accumulators back to the chain.
         """
-        from repro.rns.keyswitch import hybrid_keyswitch
-
         params = self.params
         digits = params.digits_at_level(len(d.primes) - 1)
         return hybrid_keyswitch(
@@ -258,37 +262,13 @@ class CKKSEvaluator:
             raise ValueError("no Galois keys available")
         if ct.size != 2:
             raise ValueError("relinearize before rotating")
-        from repro.rns.bconv import bconv
-
         params = self.params
-        chain = ct.primes
-        special = params.special_primes
-        extended = chain + special
         level = ct.level
-        digits = params.digits_at_level(level)
         c0 = ct.parts[0].to_coeff()
-        c1 = ct.parts[1].to_coeff()
-        chain_index = {q: i for i, q in enumerate(chain)}
-
         # shared Modup: raise every digit of c1 once (coefficient domain)
-        ext_index = {q: i for i, q in enumerate(extended)}
-        raised_digits = []
-        for digit in digits:
-            digit_rows = c1.data[
-                np.array([chain_index[q] for q in digit], dtype=np.intp)
-            ]
-            others = tuple(q for q in extended if q not in digit)
-            converted = bconv(digit_rows, digit, others)
-            # Scatter pass-through and converted rows into extended-basis
-            # order with two fancy-indexed assignments.
-            full = np.empty((len(extended), params.n), dtype=np.uint64)
-            full[np.array([ext_index[q] for q in digit], dtype=np.intp)] = (
-                digit_rows
-            )
-            full[np.array([ext_index[q] for q in others], dtype=np.intp)] = (
-                converted
-            )
-            raised_digits.append(RNSPoly(self.ring, full, extended, False))
+        raised_digits = raise_digits(
+            self.ring, ct.parts[1].to_coeff(), params.digits_at_level(level),
+            params.special_primes)
 
         out = {}
         for step in steps:
@@ -298,26 +278,9 @@ class CKKSEvaluator:
             if key is None:
                 raise ValueError(
                     f"no Galois key for element {g} at level {level}")
-            acc0 = self.ring.zero(primes=extended, ntt_form=True)
-            acc1 = self.ring.zero(primes=extended, ntt_form=True)
-            for raised, (b_t, a_t) in zip(raised_digits, key.pairs):
-                d_t = raised.automorphism(g).to_ntt()
-                acc0 = acc0 + d_t * b_t
-                acc1 = acc1 + d_t * a_t
-            k0 = acc0.to_coeff().moddown(len(special))
-            k1 = acc1.to_coeff().moddown(len(special))
+            k0, k1 = decomp_mult_moddown(
+                self.ring, [raised.automorphism(g) for raised in raised_digits],
+                key.pairs, len(params.special_primes))
             rotated0 = c0.automorphism(g) + k0
             out[step] = Ciphertext([rotated0, k1], ct.scale, ct.params)
         return out
-
-    # ------------------------------ helpers ---------------------------- #
-
-    def _project(self, poly: RNSPoly, primes) -> RNSPoly:
-        """Restrict a polynomial to a prefix of its channels."""
-        primes = tuple(primes)
-        index = {q: i for i, q in enumerate(poly.primes)}
-        try:
-            idx = np.array([index[q] for q in primes], dtype=np.intp)
-        except KeyError as exc:
-            raise ValueError(f"plaintext missing channel {exc}") from exc
-        return RNSPoly(self.ring, poly.data[idx], primes, poly.ntt_form)

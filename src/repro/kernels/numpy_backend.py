@@ -3,10 +3,12 @@
 Every primitive runs as a single vectorized numpy expression over the whole
 ``(C, n)`` residue matrix — the modulus is broadcast as a ``(C, 1)`` column
 (:func:`repro.ntmath.modular.channel_moduli`), so the Python call count per
-op is O(1) instead of O(limbs).  The NTT reuses the stacked-twiddle
+op is O(1) instead of O(limbs).  The NTT is the lazy stacked-twiddle
 :class:`repro.poly.ntt.MultiNTTContext` (O(log n) calls per transform for
-the entire basis).  Arithmetic is identical to the per-limb reference
-backend, hence bit-identical results (enforced by ``tests/kernels``).
+the entire basis); its butterflies reduce lazily where the reference
+reduces every step, but every output is the same residue.  Results are
+bit-identical to the per-limb reference backend (enforced by
+``tests/kernels`` and ``tests/poly``).
 """
 
 from __future__ import annotations

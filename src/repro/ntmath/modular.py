@@ -12,8 +12,10 @@ quotient is below ``2**42`` while the accumulated float rounding error is
 below ``2**-9``, so the estimate is off by at most one; the two conditional
 fix-ups afterwards make the result exact.  This replaces the division-based
 split-word path (three ``%`` reductions per call) with one integer multiply,
-one float multiply and two compare/subtract sweeps — the NTT butterfly hot
-path across the whole repository.
+one float multiply and two compare/subtract sweeps.  It is the product of
+the reference NTT and of every batched pointwise/Bconv kernel; the batched
+NTT (:class:`repro.poly.ntt.MultiNTTContext`) uses a lazy variant with a
+biased quotient and no fix-ups.
 """
 
 from __future__ import annotations

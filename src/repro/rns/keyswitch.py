@@ -54,8 +54,13 @@ def make_switching_key(
     """Build the per-digit key pairs for switching ``s_from -> s_to``.
 
     ``s_to_full`` / ``s_from_full`` are held over (a superset of)
-    ``chain + special`` in coefficient form; the returned pairs are in NTT
-    form over ``chain + special``.
+    ``chain + special`` in either form; the returned pairs are in NTT form
+    over ``chain + special``.  Key generators pass both secrets in NTT
+    form, transformed once per generator (``s_to``) and once per key type
+    (``s_from``), so a key level costs only the ``a_t`` and ``e_t``
+    transforms: the ``P * g_t * s'`` term is a per-channel scalar multiple
+    of the NTT-form ``s'``, which equals the transform of the scaled
+    coefficients exactly because the NTT is linear mod each prime.
 
     With an ``expander``, each digit's uniform ``a_t`` comes from the
     deterministic stream ``{stream_prefix}/d{t}`` instead of ``rng`` —
@@ -75,7 +80,7 @@ def make_switching_key(
         p_product *= p
 
     s_to = restrict_channels(ring, s_to_full, extended).to_ntt()
-    s_from = restrict_channels(ring, s_from_full, extended)
+    s_from = restrict_channels(ring, s_from_full, extended).to_ntt()
 
     pairs = []
     for t, digit in enumerate(digits):
@@ -91,12 +96,40 @@ def make_switching_key(
         else:
             a = ring.sample_uniform(rng, primes=extended).to_ntt()
         e = ring.sample_error(rng, primes=extended, sigma=error_std).to_ntt()
-        keyed = s_from.mul_channel_scalars(
-            [pg % q for q in extended]
-        ).to_ntt()
+        keyed = s_from.mul_channel_scalars([pg % q for q in extended])
         b = -(a * s_to) + e + keyed
         pairs.append((b, a))
     return pairs
+
+
+def raise_digits(
+    ring: RNSRing,
+    d: RNSPoly,
+    digits: Sequence[Sequence[int]],
+    special: Sequence[int],
+) -> List[RNSPoly]:
+    """ModUp every digit of ``d`` (coefficient form, over its chain) to
+    ``chain + special``: the digit's own rows pass through and Bconv fills
+    the other channels.  Returns one coefficient-form polynomial per digit."""
+    chain = d.primes
+    extended = chain + tuple(int(p) for p in special)
+    chain_index = {q: i for i, q in enumerate(chain)}
+    ext_index = {q: i for i, q in enumerate(extended)}
+    raised = []
+    for digit in digits:
+        digit = tuple(int(q) for q in digit)
+        digit_rows = d.data[
+            np.array([chain_index[q] for q in digit], dtype=np.intp)
+        ]
+        others = tuple(q for q in extended if q not in digit)
+        converted = bconv(digit_rows, digit, others)
+        # Scatter the pass-through digit rows and the converted rows into
+        # extended-basis order with two fancy-indexed assignments.
+        full = np.empty((len(extended), ring.n), dtype=np.uint64)
+        full[np.array([ext_index[q] for q in digit], dtype=np.intp)] = digit_rows
+        full[np.array([ext_index[q] for q in others], dtype=np.intp)] = converted
+        raised.append(RNSPoly(ring, full, extended, False))
+    return raised
 
 
 def hybrid_keyswitch(
@@ -115,29 +148,25 @@ def hybrid_keyswitch(
         raise ValueError(
             f"switching key has {len(pairs)} digits, chain needs {len(digits)}"
         )
-    d = d.to_coeff()
-    chain = d.primes
-    special = tuple(int(p) for p in special)
-    extended = chain + special
-    chain_index = {q: i for i, q in enumerate(chain)}
+    raised = raise_digits(ring, d.to_coeff(), digits, special)
+    return decomp_mult_moddown(ring, raised, pairs, len(special))
+
+
+def decomp_mult_moddown(
+    ring: RNSRing,
+    raised: Sequence[RNSPoly],
+    pairs: Sequence[Tuple[RNSPoly, RNSPoly]],
+    special_count: int,
+) -> Tuple[RNSPoly, RNSPoly]:
+    """DecompPolyMult of raised digits (coefficient form) against key
+    pairs in the NTT domain, then Moddown of both accumulators."""
+    extended = raised[0].primes
     acc0 = ring.zero(primes=extended, ntt_form=True)
     acc1 = ring.zero(primes=extended, ntt_form=True)
-    ext_index = {q: i for i, q in enumerate(extended)}
-    for digit, (b_t, a_t) in zip(digits, pairs):
-        digit = tuple(int(q) for q in digit)
-        digit_rows = d.data[
-            np.array([chain_index[q] for q in digit], dtype=np.intp)
-        ]
-        others = tuple(q for q in extended if q not in digit)
-        converted = bconv(digit_rows, digit, others)
-        # Scatter the pass-through digit rows and the converted rows into
-        # extended-basis order with two fancy-indexed assignments.
-        full = np.empty((len(extended), ring.n), dtype=np.uint64)
-        full[np.array([ext_index[q] for q in digit], dtype=np.intp)] = digit_rows
-        full[np.array([ext_index[q] for q in others], dtype=np.intp)] = converted
-        d_t = RNSPoly(ring, full, extended, False).to_ntt()
+    for d_t, (b_t, a_t) in zip(raised, pairs):
+        d_t = d_t.to_ntt()
         acc0 = acc0 + d_t * b_t
         acc1 = acc1 + d_t * a_t
-    k0 = acc0.to_coeff().moddown(len(special))
-    k1 = acc1.to_coeff().moddown(len(special))
+    k0 = acc0.to_coeff().moddown(special_count)
+    k1 = acc1.to_coeff().moddown(special_count)
     return k0, k1
